@@ -12,11 +12,10 @@
 
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
+#include "core/evalcache.hpp"
 #include "core/varpred.hpp"
 #include "rngdist/samplers.hpp"
 #include "maxent/maxent.hpp"
-#include "ml/forest.hpp"
-#include "ml/gbt.hpp"
 #include "ml/knn.hpp"
 
 namespace {
@@ -262,31 +261,63 @@ void BM_KnnFitPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnFitPredict);
 
-void BM_ForestFit(benchmark::State& state) {
-  const auto x = random_matrix(118, 272, 1);
-  const auto y = random_matrix(118, 4, 2);
-  ml::ForestParams params;
-  params.n_trees = 20;
+// One production-shape training fold: fold 0 of the intel few-runs LOGO-CV
+// (118 rows x 272 profile features, 4-wide PearsonRnd targets) with the
+// fold's filtered sorted-column artifact, exactly what the evaluator hands a
+// tree learner.
+struct ProductionFold {
+  ml::Matrix x;
+  ml::Matrix y;
+  std::shared_ptr<const ml::SortedColumns> presorted;
+};
+
+const ProductionFold& production_fold() {
+  static const ProductionFold fold = [] {
+    const auto corpus =
+        measure::build_corpus(measure::SystemModel::intel(), 1000, 7);
+    core::FewRunsConfig config;
+    config.repr = core::ReprKind::kPearson;
+    const auto cache = core::FewRunsEvalCache::build(corpus, config);
+    std::vector<std::size_t> train;
+    for (std::size_t b = 1; b < corpus.benchmarks.size(); ++b) {
+      train.push_back(b);
+    }
+    const auto rows = cache.rows_for(train);
+    ProductionFold f;
+    f.x = cache.features.gather_rows(rows);
+    for (const std::size_t b : train) {
+      for (std::size_t rep = 0; rep < cache.replicates; ++rep) {
+        f.y.push_row(cache.targets[b]);
+      }
+    }
+    f.presorted = std::make_shared<const ml::SortedColumns>(
+        cache.presorted->filtered(rows, /*remap=*/true));
+    return f;
+  }();
+  return fold;
+}
+
+// Production RF (100 trees, depth 24, all features) and XGBoost (60 rounds,
+// depth 6) fits, as core::make_model builds them.
+void fit_production(benchmark::State& state, core::ModelKind kind) {
+  const ProductionFold& fold = production_fold();
   for (auto _ : state) {
-    ml::RandomForest forest(params);
-    forest.fit(x, y);
-    benchmark::DoNotOptimize(forest.tree_count());
+    auto model = core::make_model(kind, 1001);
+    model->set_presorted(fold.presorted);
+    model->fit(fold.x, fold.y);
+    benchmark::DoNotOptimize(model->trained());
   }
 }
-BENCHMARK(BM_ForestFit);
+
+void BM_ForestFit(benchmark::State& state) {
+  fit_production(state, core::ModelKind::kRandomForest);
+}
+BENCHMARK(BM_ForestFit)->Unit(benchmark::kMillisecond);
 
 void BM_GbtFit(benchmark::State& state) {
-  const auto x = random_matrix(118, 272, 1);
-  const auto y = random_matrix(118, 4, 2);
-  ml::GbtParams params;
-  params.n_rounds = 10;
-  for (auto _ : state) {
-    ml::GradientBoosting gbt(params);
-    gbt.fit(x, y);
-    benchmark::DoNotOptimize(gbt.trained());
-  }
+  fit_production(state, core::ModelKind::kXgBoost);
 }
-BENCHMARK(BM_GbtFit);
+BENCHMARK(BM_GbtFit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

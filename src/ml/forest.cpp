@@ -42,8 +42,9 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
 
   // When splits consider all features, trees can run in column-segment mode
   // (see RegressionTree::fit_rows): build the dataset-level orders once —
-  // or take the caller's shared artifact — and derive each bootstrap
-  // sample's orders by a linear filter instead of per-node sorts.
+  // or take the caller's shared artifact — and let each tree derive its
+  // bootstrap sample's columns by a linear counted filter instead of
+  // per-node sorts.
   // Take the hint eagerly: it applies to this fit only, even when the fit
   // fails validation below.
   const std::shared_ptr<const SortedColumns> hint = std::move(presorted_hint_);
@@ -109,18 +110,10 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
     if (params_.bootstrap) {
       for (auto& r : rows) r = rng.uniform_index(n);
       std::sort(rows.begin(), rows.end());  // determinism & cache locality
-      if (bins != nullptr) {
-        tree.fit_rows(x, y, rows, nullptr, bins.get());
-      } else if (base != nullptr) {
-        const SortedColumns sample = base->filtered(rows, /*remap=*/false);
-        tree.fit_rows(x, y, rows, &sample);
-      } else {
-        tree.fit_rows(x, y, rows);
-      }
     } else {
       std::iota(rows.begin(), rows.end(), std::size_t{0});
-      tree.fit_rows(x, y, rows, base.get(), bins.get());
     }
+    tree.fit_rows(x, y, rows, base.get(), bins.get());
     trees_[t] = std::move(tree);
   });
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.hpp"
@@ -10,6 +11,79 @@
 #include "obs/obs.hpp"
 
 namespace varpred::ml {
+namespace {
+
+// Node-constant inputs and running best of one node's exact split search.
+struct GainSearch {
+  const double* grad = nullptr;
+  const double* hess = nullptr;
+  double g_total = 0.0;
+  double h_total = 0.0;
+  double parent_score = 0.0;
+  double lambda = 0.0;
+  double min_child_weight = 0.0;
+  double best_gain = 0.0;
+  std::int32_t best_feature = -1;
+  double best_threshold = 0.0;
+};
+
+// Scans one feature's n node entries in (value, row) order and keeps the
+// highest-gain split. The running sums and the best candidate live in
+// locals, so stores never force a reload of grad/hess.
+void scan_column(GainSearch& s, std::size_t f, const std::uint32_t* rows,
+                 const double* values, std::size_t n) {
+  const double lambda = s.lambda;
+  const double min_child_weight = s.min_child_weight;
+  double g_left = 0.0;
+  double h_left = 0.0;
+  double best_gain = s.best_gain;
+  bool improved = false;
+  double best_threshold = 0.0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const std::uint32_t row = rows[i];
+    g_left += s.grad[row];
+    h_left += s.hess[row];
+    if (values[i] == values[i + 1]) continue;  // no split between equals
+    const double h_right = s.h_total - h_left;
+    if (h_left >= min_child_weight && h_right >= min_child_weight) {
+      const double g_right = s.g_total - g_left;
+      const auto [left_term, right_term] =
+          divide_pair(g_left * g_left, h_left + lambda, g_right * g_right,
+                      h_right + lambda);
+      const double gain = 0.5 * (left_term + right_term - s.parent_score);
+      if (gain > best_gain) {
+        best_gain = gain;
+        improved = true;
+        best_threshold = 0.5 * (values[i] + values[i + 1]);
+      }
+    }
+  }
+  if (improved) {
+    s.best_gain = best_gain;
+    s.best_feature = static_cast<std::int32_t>(f);
+    s.best_threshold = best_threshold;
+  }
+}
+
+// One node's split-search work, added to the ml.gbt.* counters once when
+// the node is done (off mode: one relaxed load and a branch per node).
+struct NodeTally {
+  std::size_t feature_scans = 0;
+  std::size_t rows_scanned = 0;
+  std::size_t rows_partitioned = 0;
+  NodeTally() = default;
+  NodeTally(const NodeTally&) = delete;
+  NodeTally& operator=(const NodeTally&) = delete;
+  ~NodeTally() {
+    if (!obs::enabled()) return;
+    VARPRED_OBS_COUNT("ml.gbt.nodes", 1);
+    VARPRED_OBS_COUNT("ml.gbt.feature_scans", feature_scans);
+    VARPRED_OBS_COUNT("ml.gbt.rows_scanned", rows_scanned);
+    VARPRED_OBS_COUNT("ml.gbt.rows_partitioned", rows_partitioned);
+  }
+};
+
+}  // namespace
 
 GradientBoosting::GradientBoosting(GbtParams params) : params_(params) {
   VARPRED_CHECK_ARG(params_.n_rounds >= 1, "need at least one round");
@@ -135,8 +209,8 @@ std::int32_t GradientBoosting::build_node(
     std::span<const double> hess, std::vector<std::size_t>& work,
     std::size_t begin, std::size_t end, std::size_t depth,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    ColumnSegments* segments, std::vector<char>& in_node, BinnedScan* bscan,
-    std::size_t hist) const {
+    ExactScan& exact, BinnedScan* bscan, std::size_t hist) const {
+  NodeTally tally;
   const std::size_t n = end - begin;
   double g_total = 0.0;
   double h_total = 0.0;
@@ -161,42 +235,8 @@ std::int32_t GradientBoosting::build_node(
   std::int32_t best_feature = -1;
   double best_threshold = 0.0;
 
-  // Evaluates split candidates along a row sequence already sorted by
-  // feature f; `accept(row)` filters rows to this node's subset.
-  auto scan_sorted = [&](std::size_t f, auto&& rows_sorted, auto&& accept) {
-    double g_left = 0.0;
-    double h_left = 0.0;
-    std::size_t seen = 0;
-    double prev_value = 0.0;
-    for (const std::size_t row : rows_sorted) {
-      if (!accept(row)) continue;
-      const double v = x(row, f);
-      if (seen > 0 && v != prev_value) {
-        // Candidate split between prev_value and v.
-        const double h_right = h_total - h_left;
-        if (h_left >= params_.min_child_weight &&
-            h_right >= params_.min_child_weight) {
-          const double g_right = g_total - g_left;
-          const double gain =
-              0.5 * (g_left * g_left / (h_left + params_.lambda) +
-                     g_right * g_right / (h_right + params_.lambda) -
-                     parent_score);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<std::int32_t>(f);
-            best_threshold = 0.5 * (prev_value + v);
-          }
-        }
-      }
-      g_left += grad[row];
-      h_left += hess[row];
-      prev_value = v;
-      ++seen;
-    }
-  };
-
   // Candidate evaluation over one feature's occupied bins — the binned
-  // counterpart of scan_sorted with the identical gain expression; with
+  // counterpart of scan_column with the identical gain expression; with
   // exact() binning the candidate set matches the sorted scan's.
   auto scan_bins = [&](std::size_t f, const double* cnt, const double* gsum,
                        const double* hsum, const double* vmin,
@@ -260,36 +300,52 @@ std::int32_t GradientBoosting::build_node(
         hsum[b] = 0.0;
       }
     }
-  } else if (segments != nullptr) {
-    // Each column's [begin, end) range holds exactly this node's rows in
-    // (feature value, row index) order — scan it directly, no filtering.
-    for (const std::size_t f : cols) {
-      scan_sorted(
-          f, std::span<const std::size_t>(segments->col[f]).subspan(begin, n),
-          [](std::size_t) { return true; });
-    }
-  } else if (presorted != nullptr) {
-    // Filtered linear scan over the fit-level sorted order (no sorting).
-    for (std::size_t i = begin; i < end; ++i) in_node[work[i]] = 1;
-    for (const std::size_t f : cols) {
-      scan_sorted(f, presorted->order[f],
-                  [&](std::size_t row) { return in_node[row] != 0; });
-    }
-    for (std::size_t i = begin; i < end; ++i) in_node[work[i]] = 0;
   } else {
-    std::vector<std::size_t> order(
-        work.begin() + static_cast<std::ptrdiff_t>(begin),
-        work.begin() + static_cast<std::ptrdiff_t>(end));
-    for (const std::size_t f : cols) {
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const double va = x(a, f);
-                  const double vb = x(b, f);
-                  if (va != vb) return va < vb;
-                  return a < b;
-                });
-      scan_sorted(f, order, [](std::size_t) { return true; });
+    // Exact search: one kernel over each candidate feature's node entries
+    // in (value, row) order — the node's segment range, the fit-level order
+    // filtered to the node, or a per-node sort.
+    GainSearch search;
+    search.grad = grad.data();
+    search.hess = hess.data();
+    search.g_total = g_total;
+    search.h_total = h_total;
+    search.parent_score = parent_score;
+    search.lambda = params_.lambda;
+    search.min_child_weight = params_.min_child_weight;
+    search.best_gain = best_gain;
+    const bool segmented = exact.root != nullptr;
+    const bool filtered = !segmented && presorted != nullptr;
+    if (filtered) {
+      for (std::size_t i = begin; i < end; ++i) exact.in_node[work[i]] = 1;
     }
+    const std::span<const std::size_t> node_rows(work.data() + begin, n);
+    for (const std::size_t f : cols) {
+      const std::uint32_t* rows;
+      const double* values;
+      if (segmented) {
+        rows = exact.segments.rows(f) + begin;
+        values = exact.segments.values(f) + begin;
+      } else {
+        if (filtered) {
+          exact.column.filter(x, f, presorted->order[f],
+                              exact.in_node.data());
+        } else {
+          exact.column.sort(x, f, node_rows);
+        }
+        rows = exact.column.rows();
+        values = exact.column.values();
+      }
+      if (values[0] == values[n - 1]) continue;  // constant in this node
+      ++tally.feature_scans;
+      tally.rows_scanned += n;
+      scan_column(search, f, rows, values, n);
+    }
+    if (filtered) {
+      for (std::size_t i = begin; i < end; ++i) exact.in_node[work[i]] = 0;
+    }
+    best_gain = search.best_gain;
+    best_feature = search.best_feature;
+    best_threshold = search.best_threshold;
   }
 
   if (best_feature < 0) return leaf();
@@ -301,27 +357,18 @@ std::int32_t GradientBoosting::build_node(
                      [&](std::size_t idx) { return x(idx, f) <= best_threshold; });
   const auto mid = static_cast<std::size_t>(mid_it - work.begin());
   if (mid == begin || mid == end) return leaf();
+  tally.rows_partitioned = n;
 
-  if (segments != nullptr) {
-    // Keep every column's range partitioned in lockstep with `work`. The
-    // partition is stable, so each child's range stays in (value, index)
-    // order — exactly what a fresh per-node sort would produce.
-    for (auto& column : segments->col) {
-      std::size_t* seg = column.data();
-      std::size_t write = begin;
-      std::size_t spill = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t row = seg[i];
-        if (x(row, f) <= best_threshold) {
-          seg[write++] = row;
-        } else {
-          segments->scratch[spill++] = row;
-        }
-      }
-      std::copy(segments->scratch.begin(),
-                segments->scratch.begin() + static_cast<std::ptrdiff_t>(spill),
-                seg + write);
-    }
+  // Keep every column's range partitioned in lockstep with `work`. The
+  // partition is stable, so each child's range stays in (value, row) order
+  // — exactly what a fresh per-node sort would produce. Children that are
+  // leaves by depth or size never read their ranges.
+  const bool children_may_split =
+      depth + 1 < params_.max_depth && (mid - begin >= 2 || end - mid >= 2);
+  if (exact.root != nullptr && children_may_split) {
+    exact.segments.mark_left(f, begin, end, best_threshold,
+                             exact.go_left.data());
+    exact.segments.partition(begin, end, exact.go_left.data());
   }
 
   // Arena mode: derive the children's histograms with the subtraction trick
@@ -352,10 +399,10 @@ std::int32_t GradientBoosting::build_node(
   tree.nodes[self].threshold = best_threshold;
   const std::int32_t left =
       build_node(tree, x, grad, hess, work, begin, mid, depth + 1, cols,
-                 presorted, segments, in_node, bscan, left_hist);
+                 presorted, exact, bscan, left_hist);
   const std::int32_t right =
       build_node(tree, x, grad, hess, work, mid, end, depth + 1, cols,
-                 presorted, segments, in_node, bscan, right_hist);
+                 presorted, exact, bscan, right_hist);
   tree.nodes[self].left = left;
   tree.nodes[self].right = right;
   return self;
@@ -365,13 +412,10 @@ GradientBoosting::BoostTree GradientBoosting::fit_tree(
     const Matrix& x, std::span<const double> grad,
     std::span<const double> hess, std::span<const std::size_t> rows,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    ColumnSegments* segments, BinnedScan* bscan) const {
+    ExactScan& exact, BinnedScan* bscan) const {
   BoostTree tree;
   std::vector<std::size_t> work(rows.begin(), rows.end());
-  std::vector<char> in_node;
-  if (bscan == nullptr && presorted != nullptr && segments == nullptr) {
-    in_node.assign(x.rows(), 0);
-  }
+  if (exact.root != nullptr) exact.segments = *exact.root;
   std::size_t root_hist = kNoHist;
   if (bscan != nullptr && bscan->arena && params_.max_depth >= 1 &&
       work.size() >= 2) {
@@ -379,7 +423,7 @@ GradientBoosting::BoostTree GradientBoosting::fit_tree(
     bs_add_range(*bscan, grad, hess, work, 0, work.size(), root_hist);
   }
   build_node(tree, x, grad, hess, work, 0, work.size(), 0, cols, presorted,
-             segments, in_node, bscan, root_hist);
+             exact, bscan, root_hist);
   return tree;
 }
 
@@ -449,6 +493,26 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
     }
   }
 
+  const auto n_cols = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(
+             params_.colsample * static_cast<double>(x.cols()))));
+  const auto n_rows = std::max<std::size_t>(
+      2, static_cast<std::size_t>(std::llround(
+             params_.subsample * static_cast<double>(n))));
+  VARPRED_CHECK_ARG(n <= std::numeric_limits<std::uint32_t>::max(),
+                    "too many rows for 32-bit row ids");
+
+  // When every tree also sees every column, maintain the column orders as
+  // node-partitioned segments: scans touch only the node's own rows
+  // instead of filtering the full dataset order at every node. The values
+  // are gathered once per fit; each round copies this root state.
+  ColumnSegments root_segments;
+  const bool segment_mode =
+      bins == nullptr && share_rows && n_cols == x.cols();
+  std::vector<std::size_t> all_rows(n);
+  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
+  if (segment_mode) root_segments.assign(x, *presorted, all_rows);
+
   parallel_for(n_outputs, [&](std::size_t out) {
     Rng rng(seed_combine(params_.seed, out));
     Ensemble& ens = ensembles_[out];
@@ -464,27 +528,15 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
     const std::vector<double> hess(n, 1.0);  // squared loss
     ens.trees.reserve(params_.n_rounds);
 
-    const auto n_cols = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(
-               params_.colsample * static_cast<double>(x.cols()))));
-    const auto n_rows = std::max<std::size_t>(
-        2, static_cast<std::size_t>(std::llround(
-               params_.subsample * static_cast<double>(n))));
-
     std::vector<std::size_t> all_cols(x.cols());
     std::iota(all_cols.begin(), all_cols.end(), std::size_t{0});
-    std::vector<std::size_t> all_rows(n);
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
 
-    // When every tree also sees every column, maintain the column orders as
-    // node-partitioned segments: scans touch only the node's own rows
-    // instead of filtering the full dataset order at every node.
-    const bool segment_mode = bins == nullptr && share_rows &&
-                              n_cols == x.cols();
-    ColumnSegments segments;
+    ExactScan exact;
     if (segment_mode) {
-      segments.col.resize(x.cols());
-      segments.scratch.resize(n);
+      exact.root = &root_segments;
+      exact.go_left.assign(n, 0);
+    } else if (share_rows && bins == nullptr) {
+      exact.in_node.assign(n, 0);
     }
 
     // Binned split-search state for this ensemble; the histogram pool
@@ -522,15 +574,8 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
         std::sort(rows.begin(), rows.end());
       }
 
-      ColumnSegments* seg = nullptr;
-      if (segment_mode) {
-        for (std::size_t f = 0; f < x.cols(); ++f) {
-          segments.col[f] = presorted->order[f];
-        }
-        seg = &segments;
-      }
       BoostTree tree = fit_tree(x, grad, hess, rows, cols,
-                                share_rows ? presorted.get() : nullptr, seg,
+                                share_rows ? presorted.get() : nullptr, exact,
                                 bins != nullptr ? &bscan : nullptr);
       for (std::size_t r = 0; r < n; ++r) {
         pred[r] += params_.learning_rate * tree.predict_one(x.row(r));

@@ -15,6 +15,7 @@
 #include "ml/binned_columns.hpp"
 #include "ml/regressor.hpp"
 #include "ml/sorted_columns.hpp"
+#include "ml/split_scan.hpp"
 
 namespace varpred::ml {
 
@@ -64,15 +65,18 @@ class GradientBoosting final : public Regressor {
     std::vector<BoostTree> trees;
   };
 
-  // Per-feature row orders partitioned in lockstep with the node row stack:
-  // every tree node owns the same [begin, end) range of each column, and that
-  // range holds the node's rows sorted by that feature. Splitting a node
-  // stable-partitions every column's range, so child scans stay sorted —
-  // the scan sequence is exactly what a per-node sort would produce, without
-  // ever sorting past the tree root.
-  struct ColumnSegments {
-    std::vector<std::vector<std::size_t>> col;  // per feature
-    std::vector<std::size_t> scratch;           // stable-partition spill
+  // Exact split-search scratch of one output ensemble (see
+  // ml/split_scan.hpp). With every row and column in every tree, `segments`
+  // holds each feature's (row, value) entries node-partitioned in lockstep
+  // with the node row stack, re-copied from the fit-level gather each round;
+  // otherwise `column` is built per (node, feature) by filtering the
+  // fit-level order or sorting the node's rows. Both feed one scan kernel.
+  struct ExactScan {
+    const ColumnSegments* root = nullptr;  // fit-level segments, if any
+    ColumnSegments segments;
+    NodeColumn column;
+    std::vector<std::uint8_t> go_left;  // per-row split routing
+    std::vector<char> in_node;          // filtered-order membership
   };
 
   // Histogram-binned split-search state (one per output ensemble). Arena
@@ -113,18 +117,16 @@ class GradientBoosting final : public Regressor {
                      std::span<const double> hess,
                      std::span<const std::size_t> rows,
                      std::span<const std::size_t> cols,
-                     const SortedColumns* presorted,
-                     ColumnSegments* segments, BinnedScan* bscan) const;
+                     const SortedColumns* presorted, ExactScan& exact,
+                     BinnedScan* bscan) const;
   std::int32_t build_node(BoostTree& tree, const Matrix& x,
                           std::span<const double> grad,
                           std::span<const double> hess,
                           std::vector<std::size_t>& work, std::size_t begin,
                           std::size_t end, std::size_t depth,
                           std::span<const std::size_t> cols,
-                          const SortedColumns* presorted,
-                          ColumnSegments* segments,
-                          std::vector<char>& in_node, BinnedScan* bscan,
-                          std::size_t hist) const;
+                          const SortedColumns* presorted, ExactScan& exact,
+                          BinnedScan* bscan, std::size_t hist) const;
 
   GbtParams params_;
   std::vector<Ensemble> ensembles_;  // one per output column

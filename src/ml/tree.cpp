@@ -1,21 +1,124 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "ml/histkernels.hpp"
+#include "obs/obs.hpp"
 
 namespace varpred::ml {
 namespace {
 
-// Best split of one feature over sorted order: returns (sse, threshold) or
-// nullopt when no valid split exists.
-struct SplitCandidate {
-  double sse = 0.0;
-  double threshold = 0.0;
-  std::size_t left_count = 0;
+// Node-constant inputs and running best of one node's exact split search.
+struct NodeSearch {
+  const double* y = nullptr;  // row-major targets, k per row
+  std::size_t k = 0;
+  const double* total_sum = nullptr;
+  double total_sq = 0.0;
+  std::size_t n = 0;
+  std::size_t min_leaf = 1;
+  double best_sse = 0.0;
+  std::int32_t best_feature = -1;
+  double best_threshold = 0.0;
 };
+
+// Scans one feature's node entries in (value, row) order and keeps the
+// lowest-SSE split. W > 0 is the compile-time output width, with the
+// running sums in a local array the compiler can keep in registers (a heap
+// buffer could alias y, forcing a reload per row); W == 0 takes s.k outputs
+// and runs its sums in the caller's `wide` buffer. Every candidate's SSE is
+// computed with the same operations in the same order at any W.
+template <std::size_t W>
+void scan_column(NodeSearch& s, std::size_t f, const std::uint32_t* rows,
+                 const double* values, double* wide) {
+  const std::size_t k = W > 0 ? W : s.k;
+  std::array<double, (W > 0 ? W : 1)> local_left{};
+  std::array<double, (W > 0 ? W : 1)> local_total{};
+  double* left = W > 0 ? local_left.data() : wide;
+  const double* total = s.total_sum;
+  if constexpr (W > 0) {
+    std::copy(total, total + W, local_total.begin());
+    total = local_total.data();
+  } else {
+    std::fill(left, left + k, 0.0);
+  }
+  const double total_sq = s.total_sq;
+  const std::size_t n = s.n;
+  // Row counts convert to doubles exactly (they are far below 2^53).
+  const double count = static_cast<double>(n);
+  double best_sse = s.best_sse;
+  bool improved = false;
+  double best_threshold = 0.0;
+  // n_left = i + 1 runs up to n - min_leaf, so n_right >= min_leaf always.
+  for (std::size_t i = 0; i + s.min_leaf < n; ++i) {
+    const double* yr = s.y + static_cast<std::size_t>(rows[i]) * k;
+    for (std::size_t c = 0; c < k; ++c) left[c] += yr[c];
+    if (i + 1 < s.min_leaf) continue;
+    if (values[i] == values[i + 1]) continue;  // no split between equals
+    const double n_left = static_cast<double>(static_cast<std::int64_t>(i + 1));
+    const double n_right = count - n_left;
+    double sse = total_sq;  // left_sq + right_sq == total_sq always
+    double left_penalty = 0.0;
+    double right_penalty = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      left_penalty += left[c] * left[c];
+      const double rs = total[c] - left[c];
+      right_penalty += rs * rs;
+    }
+    const auto [left_term, right_term] =
+        divide_pair(left_penalty, n_left, right_penalty, n_right);
+    sse -= left_term + right_term;
+    if (sse < best_sse) {
+      best_sse = sse;
+      improved = true;
+      best_threshold = 0.5 * (values[i] + values[i + 1]);
+    }
+  }
+  if (improved) {
+    s.best_sse = best_sse;
+    s.best_feature = static_cast<std::int32_t>(f);
+    s.best_threshold = best_threshold;
+  }
+}
+
+// One node's split-search work, added to the ml.tree.* counters once when
+// the node is done (off mode: one relaxed load and a branch per node).
+struct NodeTally {
+  std::size_t feature_scans = 0;
+  std::size_t rows_scanned = 0;
+  std::size_t rows_partitioned = 0;
+  NodeTally() = default;
+  NodeTally(const NodeTally&) = delete;
+  NodeTally& operator=(const NodeTally&) = delete;
+  ~NodeTally() {
+    if (!obs::enabled()) return;
+    VARPRED_OBS_COUNT("ml.tree.nodes", 1);
+    VARPRED_OBS_COUNT("ml.tree.feature_scans", feature_scans);
+    VARPRED_OBS_COUNT("ml.tree.rows_scanned", rows_scanned);
+    VARPRED_OBS_COUNT("ml.tree.rows_partitioned", rows_partitioned);
+  }
+};
+
+using ScanFn = void (*)(NodeSearch&, std::size_t, const std::uint32_t*,
+                        const double*, double*);
+
+// The paper's representations are 4 (moments, Pearson), 16 (quantiles) or
+// 40 (histogram) wide; any other width takes the runtime-width kernel.
+ScanFn scan_kernel(std::size_t k) {
+  switch (k) {
+    case 4:
+      return &scan_column<4>;
+    case 16:
+      return &scan_column<16>;
+    case 40:
+      return &scan_column<40>;
+    default:
+      return &scan_column<0>;
+  }
+}
 
 }  // namespace
 
@@ -70,13 +173,13 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
   const bool all_features =
       params_.max_features == 0 || params_.max_features >= x.cols();
   use_columns_ = bins_ == nullptr && presorted != nullptr && all_features;
+  VARPRED_CHECK_ARG(x.rows() <= std::numeric_limits<std::uint32_t>::max(),
+                    "too many rows for 32-bit row ids");
   if (use_columns_) {
-    VARPRED_CHECK_ARG(presorted->cols() == x.cols() &&
-                          presorted->row_count() == indices.size(),
-                      "presorted artifact does not match sample");
-    col_ = presorted->order;  // partitioned in place as the tree grows
-    col_scratch_.resize(indices.size());
+    segments_.assign(x, *presorted, indices);  // partitioned as it grows
+    go_left_.assign(x.rows(), 0);
   }
+  scan_left_.assign(n_outputs_, 0.0);
 
   std::size_t root_hist = kNoHist;
   if (bins_ != nullptr) {
@@ -94,9 +197,10 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
   Rng rng(params_.seed);
   build(x, y, 0, work_.size(), 0, rng, root_hist);
 
-  col_.clear();
-  col_scratch_.clear();
-  col_scratch_.shrink_to_fit();
+  segments_ = {};
+  node_column_ = {};
+  go_left_ = {};
+  scan_left_ = {};
   use_columns_ = false;
   bins_ = nullptr;
   hk_ = nullptr;
@@ -208,6 +312,7 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
                                    std::size_t begin, std::size_t end,
                                    std::size_t depth, Rng& rng,
                                    std::size_t hist) {
+  NodeTally tally;
   const std::size_t n = end - begin;
   if (depth >= params_.max_depth || n < params_.min_samples_split ||
       n < 2 * params_.min_samples_leaf) {
@@ -333,65 +438,38 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
       }
     }
   } else {
-    std::vector<std::size_t> scratch;
-    if (!use_columns_) {
-      scratch.assign(work_.begin() + static_cast<std::ptrdiff_t>(begin),
-                     work_.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-
+    // Exact search: one kernel over each candidate feature's node entries
+    // in (value, row) order — the node's segment range, or a per-node sort.
+    NodeSearch search;
+    search.y = y.data().data();
+    search.k = n_outputs_;
+    search.total_sum = total_sum.data();
+    search.total_sq = total_sq;
+    search.n = n;
+    search.min_leaf = params_.min_samples_leaf;
+    search.best_sse = best_sse;
+    const ScanFn scan = scan_kernel(n_outputs_);
+    const std::span<const std::size_t> node_rows(work_.data() + begin, n);
     for (std::size_t fi = 0; fi < n_candidates; ++fi) {
       const std::size_t f = features[fi];
-      std::span<const std::size_t> order;
+      const std::uint32_t* rows;
+      const double* values;
       if (use_columns_) {
-        // col_[f][begin, end) already holds this node's rows in
-        // (value, index) order — the exact sequence the sort below produces.
-        order = std::span<const std::size_t>(col_[f]).subspan(begin, n);
+        rows = segments_.rows(f) + begin;
+        values = segments_.values(f) + begin;
       } else {
-        std::sort(scratch.begin(), scratch.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    const double va = x(a, f);
-                    const double vb = x(b, f);
-                    if (va != vb) return va < vb;
-                    return a < b;  // deterministic ties
-                  });
-        order = scratch;
+        node_column_.sort(x, f, node_rows);
+        rows = node_column_.rows();
+        values = node_column_.values();
       }
-
-      std::fill(left_sum.begin(), left_sum.end(), 0.0);
-      double left_sq = 0.0;
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        const auto row = y.row(order[i]);
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          left_sum[c] += row[c];
-          left_sq += row[c] * row[c];
-        }
-        const std::size_t n_left = i + 1;
-        const std::size_t n_right = n - n_left;
-        if (n_left < params_.min_samples_leaf ||
-            n_right < params_.min_samples_leaf) {
-          continue;
-        }
-        const double v = x(order[i], f);
-        const double v_next = x(order[i + 1], f);
-        if (v == v_next) continue;  // cannot split between equal values
-
-        double sse = total_sq;  // left_sq + right_sq == total_sq always
-        double left_penalty = 0.0;
-        double right_penalty = 0.0;
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          left_penalty += left_sum[c] * left_sum[c];
-          const double rs = total_sum[c] - left_sum[c];
-          right_penalty += rs * rs;
-        }
-        sse -= left_penalty / static_cast<double>(n_left) +
-               right_penalty / static_cast<double>(n_right);
-        if (sse < best_sse) {
-          best_sse = sse;
-          best_feature = static_cast<std::int32_t>(f);
-          best_threshold = 0.5 * (v + v_next);
-        }
-      }
+      if (values[0] == values[n - 1]) continue;  // constant in this node
+      ++tally.feature_scans;
+      tally.rows_scanned += n;
+      scan(search, f, rows, values, scan_left_.data());
     }
+    best_sse = search.best_sse;
+    best_feature = search.best_feature;
+    best_threshold = search.best_threshold;
   }
 
   if (best_feature < 0) {
@@ -411,27 +489,20 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
     if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);  // numeric degeneracy guard
   }
+  tally.rows_partitioned = n;
 
-  if (use_columns_) {
-    // Keep every column's range partitioned in lockstep with work_. The
-    // partition is stable, so each child's range stays in (value, index)
-    // order — exactly what a fresh per-node sort would produce.
-    for (auto& column : col_) {
-      std::size_t* seg = column.data();
-      std::size_t write = begin;
-      std::size_t spill = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t row = seg[i];
-        if (x(row, f) <= best_threshold) {
-          seg[write++] = row;
-        } else {
-          col_scratch_[spill++] = row;
-        }
-      }
-      std::copy(col_scratch_.begin(),
-                col_scratch_.begin() + static_cast<std::ptrdiff_t>(spill),
-                seg + write);
-    }
+  // Keep every column's range partitioned in lockstep with work_. The
+  // partition is stable, so each child's range stays in (value, row) order
+  // — exactly what a fresh per-node sort would produce. Children that are
+  // leaves by size or depth never read their ranges.
+  auto may_split = [&](std::size_t rows) {
+    return depth + 1 < params_.max_depth &&
+           rows >= params_.min_samples_split &&
+           rows >= 2 * params_.min_samples_leaf;
+  };
+  if (use_columns_ && (may_split(mid - begin) || may_split(end - mid))) {
+    segments_.mark_left(f, begin, end, best_threshold, go_left_.data());
+    segments_.partition(begin, end, go_left_.data());
   }
 
   // Arena mode: derive the children's histograms with the subtraction trick.

@@ -12,6 +12,7 @@
 #include "ml/binned_columns.hpp"
 #include "ml/regressor.hpp"
 #include "ml/sorted_columns.hpp"
+#include "ml/split_scan.hpp"
 
 namespace varpred::ml {
 struct HistKernels;
@@ -39,13 +40,14 @@ class RegressionTree final : public Regressor {
   void set_binned(std::shared_ptr<const BinnedColumns> bins) override;
 
   /// Fits on a subset of rows (bootstrap support for forests). `presorted`,
-  /// when given, must hold the per-feature orders of exactly the `indices`
-  /// sample (length match is checked): each column lists the sample's row
-  /// indices sorted by (feature value, index), duplicates included — i.e.
-  /// SortedColumns::filtered(indices, /*remap=*/false) of a dataset-level
-  /// artifact. It is consumed only when every split considers all features
-  /// (max_features covers the full column set) and yields byte-identical
-  /// trees; otherwise it is ignored.
+  /// when given, must be the dataset-level artifact of x
+  /// (SortedColumns::build(x); shape is checked). The fit derives the
+  /// `indices` sample's columns from it by one counted linear filter —
+  /// each sample row once per occurrence, in (feature value, index) order,
+  /// as SortedColumns::filtered(indices, /*remap=*/false) lists them. It is
+  /// consumed only when every split considers all features (max_features
+  /// covers the full column set) and yields byte-identical trees;
+  /// otherwise it is ignored.
   ///
   /// `binned`, when given (and tree_binned_enabled()), must be the
   /// dataset-level BinnedColumns artifact of `x` (dimension match is
@@ -110,13 +112,16 @@ class RegressionTree final : public Regressor {
   std::vector<double> leaf_values_;   // leaf_count * n_outputs
   std::vector<std::size_t> work_;     // index scratch during fit
 
-  // Segment-partitioned per-feature orders during fit: col_[f][begin, end)
-  // holds node [begin, end)'s rows sorted by feature f, kept in lockstep
-  // with work_ by stable-partitioning at each split. Replaces the per-node
-  // per-feature sort when a presorted artifact is supplied and every split
-  // considers all features.
-  std::vector<std::vector<std::size_t>> col_;
-  std::vector<std::size_t> col_scratch_;
+  // Exact split-search state during fit (see ml/split_scan.hpp). In
+  // column-segment mode (a presorted artifact is supplied and every split
+  // considers all features) segments_ holds node [begin, end)'s (row,
+  // value) entries of every feature, partitioned in lockstep with work_ at
+  // each split via the go_left_ row mask; otherwise node_column_ is sorted
+  // per (node, candidate feature). Both feed the same scan kernel.
+  ColumnSegments segments_;
+  NodeColumn node_column_;
+  std::vector<std::uint8_t> go_left_;   // per-row split routing
+  std::vector<double> scan_left_;       // running sums, wide targets only
   bool use_columns_ = false;
   std::shared_ptr<const SortedColumns> presorted_hint_;  // next fit() only
 

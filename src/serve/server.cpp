@@ -67,7 +67,7 @@ Server::Server(ModelRegistry& registry, ServerConfig config)
   socklen_t len = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 Server::~Server() { stop(); }
@@ -81,12 +81,14 @@ void Server::stop() {
     // deregister their own fds on exit.
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
+  // Wake the accept thread and join it before the fd is closed: closing
+  // first would let the number be reused while accept() may still use it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::unique_lock<std::mutex> lock(conn_mu_);
     conn_cv_.wait(lock, [this] { return conn_active_ == 0; });
@@ -94,12 +96,12 @@ void Server::stop() {
   batcher_->stop();
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed by stop()
+      return;  // listener shut down by stop()
     }
     {
       std::lock_guard<std::mutex> lock(conn_mu_);

@@ -65,7 +65,9 @@ class Server {
   }
 
  private:
-  void accept_loop();
+  /// Accepts on `listen_fd` (the thread's own copy; stop() owns the
+  /// member) until stop() shuts the listener down.
+  void accept_loop(int listen_fd);
   void handle_connection(int fd);
   /// Dispatches one decoded frame; returns false when the connection should
   /// close (protocol violation).

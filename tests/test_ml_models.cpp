@@ -4,15 +4,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "common/rng.hpp"
+#include "core/evalcache.hpp"
+#include "core/models.hpp"
+#include "measure/corpus.hpp"
+#include "measure/system_model.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
 #include "ml/metrics.hpp"
 #include "ml/sorted_columns.hpp"
 #include "ml/tree.hpp"
+#include "obs/obs.hpp"
 
 namespace varpred::ml {
 namespace {
@@ -221,6 +230,50 @@ Problem make_tied_problem(std::size_t n_train, std::size_t n_test,
   return p;
 }
 
+// Split-search stress shape: quantized features (many ties), a globally
+// constant column, a coarse copy of feature 0 (constant inside every node
+// that splits x0 finely) and a column equal to feature 1 (tied candidates
+// across features), with `k` targets mixing the inputs differently.
+Problem make_hard_problem(std::size_t n_train, std::size_t n_test,
+                          std::uint64_t seed, std::size_t k) {
+  const Problem base = make_tied_problem(n_train, n_test, seed);
+  auto widen = [k](const Matrix& x, Matrix& wide, Matrix& y) {
+    wide = Matrix(x.rows(), 6);
+    y = Matrix(x.rows(), k);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      const double a = x(r, 0);
+      const double b = x(r, 1);
+      const double c = x(r, 2);
+      wide(r, 0) = a;
+      wide(r, 1) = b;
+      wide(r, 2) = c;
+      wide(r, 3) = 1.0;
+      wide(r, 4) = std::floor(a * 2.0) / 2.0;
+      wide(r, 5) = b;
+      for (std::size_t j = 0; j < k; ++j) {
+        const double w = static_cast<double>(j + 1);
+        y(r, j) = (j % 3 == 0)   ? w * a + b * b
+                  : (j % 3 == 1) ? a * b - c / w
+                                 : std::floor(w * c) + 0.5 * a;
+      }
+    }
+  };
+  Problem p;
+  widen(base.x_train, p.x_train, p.y_train);
+  widen(base.x_test, p.x_test, p.y_test);
+  return p;
+}
+
+constexpr std::size_t kOutputWidths[] = {1, 4, 16};
+
+void expect_same_predictions(const Regressor& a, const Regressor& b,
+                             const Matrix& x, std::size_t k) {
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    EXPECT_EQ(a.predict(x.row(r)), b.predict(x.row(r)))
+        << "K=" << k << " row " << r;
+  }
+}
+
 TEST(Tree, PresortedSegmentModeIsByteIdenticalToSortPath) {
   // The tentpole invariant at tree level: fitting with a dataset-level
   // SortedColumns artifact (segment scans + stable partitions) must produce
@@ -241,11 +294,26 @@ TEST(Tree, PresortedSegmentModeIsByteIdenticalToSortPath) {
               presorted.predict(p.x_test.row(r)))
         << "row " << r;
   }
+
+  // Production depth, constant-in-node columns, K in {1, 4, 16}.
+  for (const std::size_t k : kOutputWidths) {
+    const auto h = make_hard_problem(160, 60, 42 + k, k);
+    TreeParams deep;
+    deep.max_depth = 24;
+    RegressionTree sorted_tree(deep);
+    sorted_tree.fit(h.x_train, h.y_train);
+    RegressionTree segment_tree(deep);
+    segment_tree.set_presorted(std::make_shared<const SortedColumns>(
+        SortedColumns::build(h.x_train)));
+    segment_tree.fit(h.x_train, h.y_train);
+    EXPECT_EQ(sorted_tree.node_count(), segment_tree.node_count()) << k;
+    expect_same_predictions(sorted_tree, segment_tree, h.x_test, k);
+  }
 }
 
 TEST(Tree, FilteredBootstrapArtifactIsByteIdenticalToSortPath) {
-  // fit_rows over a duplicated (bootstrap) sample: the counted filter of the
-  // dataset artifact must reproduce the per-node sorts of the sample.
+  // fit_rows over a duplicated (bootstrap) sample: the tree's counted filter
+  // of the dataset artifact must reproduce the per-node sorts of the sample.
   const auto p = make_tied_problem(120, 40, 43);
   const auto base = SortedColumns::build(p.x_train);
   Rng rng(77);
@@ -257,12 +325,29 @@ TEST(Tree, FilteredBootstrapArtifactIsByteIdenticalToSortPath) {
   RegressionTree plain(params);
   plain.fit_rows(p.x_train, p.y_train, rows);
   RegressionTree filtered(params);
-  const SortedColumns sample = base.filtered(rows, /*remap=*/false);
-  filtered.fit_rows(p.x_train, p.y_train, rows, &sample);
+  filtered.fit_rows(p.x_train, p.y_train, rows, &base);
   for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
     EXPECT_EQ(plain.predict(p.x_test.row(r)),
               filtered.predict(p.x_test.row(r)))
         << "row " << r;
+  }
+
+  // Production depth, constant-in-node columns, K in {1, 4, 16}.
+  for (const std::size_t k : kOutputWidths) {
+    const auto h = make_hard_problem(140, 50, 44 + k, k);
+    const auto hbase = SortedColumns::build(h.x_train);
+    Rng hrng(78 + k);
+    std::vector<std::size_t> sample(h.x_train.rows());
+    for (auto& r : sample) r = hrng.uniform_index(h.x_train.rows());
+    std::sort(sample.begin(), sample.end());
+    TreeParams deep;
+    deep.max_depth = 24;
+    RegressionTree sorted_tree(deep);
+    sorted_tree.fit_rows(h.x_train, h.y_train, sample);
+    RegressionTree segment_tree(deep);
+    segment_tree.fit_rows(h.x_train, h.y_train, sample, &hbase);
+    EXPECT_EQ(sorted_tree.node_count(), segment_tree.node_count()) << k;
+    expect_same_predictions(sorted_tree, segment_tree, h.x_test, k);
   }
 }
 
@@ -279,6 +364,116 @@ TEST(Tree, RejectsMismatchedPresortedArtifact) {
   EXPECT_THROW(tree.fit(p.x_train, p.y_train), std::invalid_argument);
   // The hint applies to one fit only: the next fit must succeed cold.
   EXPECT_NO_THROW(tree.fit(p.x_train, p.y_train));
+
+  // A sample-level order of a bootstrap sample has the dataset's length but
+  // lists duplicated rows: fit_rows must reject it, not overrun.
+  std::vector<std::size_t> rows(p.x_train.rows(), 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i / 2;
+  const SortedColumns sample =
+      SortedColumns::build(p.x_train).filtered(rows, /*remap=*/false);
+  EXPECT_THROW(tree.fit_rows(p.x_train, p.y_train, rows, &sample),
+               std::invalid_argument);
+  // The same with one row drawn for the whole sample (count 50 per entry).
+  const std::vector<std::size_t> same(p.x_train.rows(), 3);
+  const SortedColumns repeated =
+      SortedColumns::build(p.x_train).filtered(same, /*remap=*/false);
+  EXPECT_THROW(tree.fit_rows(p.x_train, p.y_train, same, &repeated),
+               std::invalid_argument);
+}
+
+// Pins the exact (non-histogram) split search for a test's duration, so
+// exact-path assertions hold in the suite's VARPRED_TREE_BINNED=1 rerun.
+class ScopedExactSplits {
+ public:
+  ScopedExactSplits() {
+    if (const char* old = std::getenv("VARPRED_TREE_BINNED")) saved_ = old;
+    ::setenv("VARPRED_TREE_BINNED", "0", 1);
+  }
+  ScopedExactSplits(const ScopedExactSplits&) = delete;
+  ScopedExactSplits& operator=(const ScopedExactSplits&) = delete;
+  ~ScopedExactSplits() {
+    if (saved_) {
+      ::setenv("VARPRED_TREE_BINNED", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("VARPRED_TREE_BINNED");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// Fit-layer counters on a hand-computable fit: 4 rows, feature 0 = 0..3,
+// feature 1 constant, targets {0, 1, 5, 6}. The tree splits the root
+// between 1 and 5 and each child once more: 7 nodes, 3 scans of feature 0
+// (feature 1 is constant in every node and skipped), 4 + 2 + 2 rows scanned
+// and partitioned. XGBoost (one round, depth 2) splits the root the same
+// way; both children scan but find no positive gain: 3 nodes, 3 scans,
+// 8 rows scanned, 4 partitioned.
+class ScopedObsSummary {
+ public:
+  ScopedObsSummary() {
+    obs::reset();
+    obs::set_mode(obs::Mode::kSummary);
+  }
+  ScopedObsSummary(const ScopedObsSummary&) = delete;
+  ScopedObsSummary& operator=(const ScopedObsSummary&) = delete;
+  ~ScopedObsSummary() {
+    obs::set_mode(obs::Mode::kOff);
+    obs::reset();
+  }
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+TEST(FitCounters, TreeCountsNodesScansAndRowsBothPaths) {
+  const auto x = Matrix::from_rows({{0, 7}, {1, 7}, {2, 7}, {3, 7}});
+  const auto y = Matrix::from_rows({{0}, {1}, {5}, {6}});
+  const ScopedExactSplits exact;
+  for (const bool presorted : {false, true}) {
+    const ScopedObsSummary obs_on;
+    RegressionTree tree;
+    if (presorted) {
+      tree.set_presorted(
+          std::make_shared<const SortedColumns>(SortedColumns::build(x)));
+    }
+    tree.fit(x, y);
+    ASSERT_EQ(tree.node_count(), 7u);
+    EXPECT_EQ(counter("ml.tree.nodes"), 7u) << presorted;
+    EXPECT_EQ(counter("ml.tree.feature_scans"), 3u) << presorted;
+    EXPECT_EQ(counter("ml.tree.rows_scanned"), 8u) << presorted;
+    EXPECT_EQ(counter("ml.tree.rows_partitioned"), 8u) << presorted;
+  }
+}
+
+TEST(FitCounters, GbtCountsNodesScansAndRows) {
+  const auto x = Matrix::from_rows({{0, 7}, {1, 7}, {2, 7}, {3, 7}});
+  const auto y = Matrix::from_rows({{0}, {1}, {5}, {6}});
+  const ScopedExactSplits exact;
+  const ScopedObsSummary obs_on;
+  GbtParams gp;
+  gp.n_rounds = 1;
+  gp.max_depth = 2;
+  gp.subsample = 1.0;
+  gp.colsample = 1.0;
+  GradientBoosting gbt(gp);
+  gbt.fit(x, y);
+  EXPECT_EQ(counter("ml.gbt.nodes"), 3u);
+  EXPECT_EQ(counter("ml.gbt.feature_scans"), 3u);
+  EXPECT_EQ(counter("ml.gbt.rows_scanned"), 8u);
+  EXPECT_EQ(counter("ml.gbt.rows_partitioned"), 4u);
+}
+
+TEST(FitCounters, OffModeCountsNothing) {
+  obs::set_mode(obs::Mode::kOff);
+  obs::reset();
+  const auto p = make_problem(40, 1, 3);
+  RegressionTree tree;
+  tree.fit(p.x_train, p.y_train);
+  EXPECT_EQ(counter("ml.tree.nodes"), 0u);
+  EXPECT_EQ(counter("ml.tree.rows_scanned"), 0u);
 }
 
 TEST(Forest, OutperformsOrMatchesSingleTreeOnNoisyData) {
@@ -380,6 +575,29 @@ TEST(Gbt, SegmentModeIsByteIdenticalToSortPath) {
   for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
     EXPECT_EQ(a.predict(p.x_test.row(r)), b.predict(p.x_test.row(r)))
         << "row " << r;
+  }
+
+  // Depth 24, duplicated training rows (a bootstrap-style multiset gathered
+  // into the matrix), constant-in-node columns, K in {1, 4, 16}.
+  for (const std::size_t k : kOutputWidths) {
+    const auto h = make_hard_problem(120, 50, 62 + k, k);
+    Rng hrng(63 + k);
+    std::vector<std::size_t> sample(h.x_train.rows());
+    for (auto& r : sample) r = hrng.uniform_index(h.x_train.rows());
+    std::sort(sample.begin(), sample.end());
+    const Matrix xs = h.x_train.gather_rows(sample);
+    const Matrix ys = h.y_train.gather_rows(sample);
+    GbtParams deep = seg;
+    deep.n_rounds = 12;
+    deep.max_depth = 24;
+    deep.learning_rate = 0.3;
+    GbtParams deep_sort = deep;
+    deep_sort.subsample = 0.999999;
+    GradientBoosting segment_gbt(deep);
+    GradientBoosting sorted_gbt(deep_sort);
+    segment_gbt.fit(xs, ys);
+    sorted_gbt.fit(xs, ys);
+    expect_same_predictions(sorted_gbt, segment_gbt, h.x_test, k);
   }
 }
 
@@ -544,6 +762,131 @@ TEST_P(ModelSweep, BeatsMeanBaseline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(KnnRfGbt, ModelSweep, ::testing::Values(0, 1, 2));
+
+// ---------------------------------------------------------------------------
+// Production-shape golden hashes.
+//
+// The byte-identity tests above compare two fitting paths of the same code;
+// once both share one split-search kernel they can no longer catch a change
+// to that kernel. These tests pin the kernel's output itself: fold 0 of the
+// intel few-runs LOGO-CV (118 training rows x 272 profile features), fitted
+// with the production RF and XGBoost parameters, and every corpus row's
+// prediction hashed with FNV-1a-64. The targets are 4-wide PearsonRnd
+// moments, plus 40-wide Histogram and 16-wide Quantile encodings for RF,
+// whose scan kernel depends on the target width. The constants were
+// computed before the column-segment kernel rewrite; any drift in a single
+// prediction bit fails them.
+
+std::uint64_t fnv1a64(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+struct GoldenFold {
+  core::FewRunsEvalCache cache;
+  Matrix x;
+  Matrix y;
+  std::shared_ptr<const SortedColumns> presorted;
+};
+
+GoldenFold make_golden_fold(core::ReprKind repr) {
+  static const measure::Corpus corpus =
+      measure::build_corpus(measure::SystemModel::intel(), 1000, 7);
+  GoldenFold g;
+  core::FewRunsConfig config;
+  config.repr = repr;
+  g.cache = core::FewRunsEvalCache::build(corpus, config);
+  std::vector<std::size_t> train;
+  for (std::size_t b = 1; b < corpus.benchmarks.size(); ++b) {
+    train.push_back(b);
+  }
+  const auto rows = g.cache.rows_for(train);
+  g.x = g.cache.features.gather_rows(rows);
+  for (const std::size_t b : train) {
+    for (std::size_t rep = 0; rep < g.cache.replicates; ++rep) {
+      g.y.push_row(g.cache.targets[b]);
+    }
+  }
+  g.presorted = std::make_shared<const SortedColumns>(
+      g.cache.presorted->filtered(rows, /*remap=*/true));
+  return g;
+}
+
+const GoldenFold& golden_fold(core::ReprKind repr) {
+  switch (repr) {
+    case core::ReprKind::kHistogram: {
+      static const GoldenFold fold = make_golden_fold(repr);
+      return fold;
+    }
+    case core::ReprKind::kQuantile: {
+      static const GoldenFold fold = make_golden_fold(repr);
+      return fold;
+    }
+    default: {
+      static const GoldenFold fold =
+          make_golden_fold(core::ReprKind::kPearson);
+      return fold;
+    }
+  }
+}
+
+std::uint64_t golden_hash(core::ModelKind kind, core::ReprKind repr,
+                          bool presorted) {
+  const GoldenFold& g = golden_fold(repr);
+  auto model = core::make_model(kind, core::FewRunsConfig{}.seed);
+  if (presorted) model->set_presorted(g.presorted);
+  model->fit(g.x, g.y);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t r = 0; r < g.cache.features.rows(); ++r) {
+    for (const double v : model->predict(g.cache.features.row(r))) {
+      h = fnv1a64(h, v);
+    }
+  }
+  return h;
+}
+
+TEST(Golden, FoldShapeMatchesProduction) {
+  const GoldenFold& g = golden_fold(core::ReprKind::kPearson);
+  EXPECT_EQ(g.x.rows(), 118u);
+  EXPECT_EQ(g.x.cols(), 272u);
+  EXPECT_EQ(g.y.cols(), 4u);
+  EXPECT_EQ(golden_fold(core::ReprKind::kHistogram).y.cols(), 40u);
+  EXPECT_EQ(golden_fold(core::ReprKind::kQuantile).y.cols(), 16u);
+}
+
+constexpr std::uint64_t kGoldenRf = 0x181f891616783cb8ULL;
+constexpr std::uint64_t kGoldenRfHistogram = 0x4c5e37216942708aULL;
+constexpr std::uint64_t kGoldenRfQuantile = 0xbaaad7f1b8313392ULL;
+constexpr std::uint64_t kGoldenXgb = 0x5caa68bb9bf0ac1dULL;
+
+TEST(Golden, RandomForestPredictionsArePinned) {
+  const ScopedExactSplits exact;
+  using core::ModelKind;
+  using core::ReprKind;
+  EXPECT_EQ(golden_hash(ModelKind::kRandomForest, ReprKind::kPearson, true),
+            kGoldenRf);
+  EXPECT_EQ(golden_hash(ModelKind::kRandomForest, ReprKind::kPearson, false),
+            kGoldenRf);
+  EXPECT_EQ(golden_hash(ModelKind::kRandomForest, ReprKind::kHistogram, true),
+            kGoldenRfHistogram);
+  EXPECT_EQ(golden_hash(ModelKind::kRandomForest, ReprKind::kQuantile, true),
+            kGoldenRfQuantile);
+}
+
+TEST(Golden, XgBoostPredictionsArePinned) {
+  const ScopedExactSplits exact;
+  using core::ModelKind;
+  using core::ReprKind;
+  EXPECT_EQ(golden_hash(ModelKind::kXgBoost, ReprKind::kPearson, true),
+            kGoldenXgb);
+  EXPECT_EQ(golden_hash(ModelKind::kXgBoost, ReprKind::kPearson, false),
+            kGoldenXgb);
+}
 
 }  // namespace
 }  // namespace varpred::ml

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -652,6 +653,54 @@ TEST(ServeEndToEnd, HotSwapMidLoadDropsZeroRequests) {
   EXPECT_EQ(failures.load(), 0);  // zero dropped or failed requests
   EXPECT_TRUE(versions.count(1) == 1 && versions.count(2) == 1)
       << "expected responses from both model versions across the swap";
+}
+
+TEST(ServeEndToEnd, StopWhileClientsConnectInALoop) {
+  // stop() shuts the listener down, joins the accept thread and only then
+  // closes the fd; the accept thread works on its own copy. Clients keep
+  // connecting throughout, so accept() is live when stop()
+  // runs; the sanitizer job checks there is no race on the listener.
+  serve::ModelRegistry registry;
+  registry.publish("demo", fresh_predictor());
+  auto server =
+      std::make_unique<serve::Server>(registry, serve::ServerConfig{});
+  const std::uint16_t port = server->port();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> connects{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 2; ++t) {
+    clients.emplace_back([&] {
+      while (!done.load()) {
+        const int fd = socket(AF_INET, SOCK_STREAM, 0);
+        if (fd < 0) continue;
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(port);
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        // Connect and hang up without writing: a write racing the
+        // server's shutdown could raise SIGPIPE in this process.
+        if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+            0) {
+          connects.fetch_add(1);
+        }
+        close(fd);
+      }
+    });
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (connects.load() < 20 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server->stop();
+  server->stop();  // idempotent
+  server.reset();
+  done.store(true);
+  for (auto& t : clients) t.join();
+  EXPECT_GE(connects.load(), 20);
 }
 
 // ---------------------------------------------------------------------------
