@@ -17,6 +17,7 @@
 #include "rngdist/samplers.hpp"
 #include "maxent/maxent.hpp"
 #include "ml/knn.hpp"
+#include "serve/server.hpp"
 
 namespace {
 
@@ -318,6 +319,52 @@ void BM_GbtFit(benchmark::State& state) {
   fit_production(state, core::ModelKind::kXgBoost);
 }
 BENCHMARK(BM_GbtFit)->Unit(benchmark::kMillisecond);
+
+// Serve compute at the shape the end-to-end benchmark's serve_mix workload
+// serves: the paper's PearsonRnd+kNN amd->intel transfer model trained on
+// the seed-7 corpora (60 benchmarks x 1000 runs), one 10-probe request,
+// 2000 samples. Most of it is the Pearson reconstruct.
+struct ServeShape {
+  serve::LoadedModel model;
+  serve::PredictRequest request;
+};
+
+const ServeShape& serve_shape() {
+  static const ServeShape shape = [] {
+    const auto amd =
+        measure::build_corpus(measure::SystemModel::amd(), 1000, 7);
+    const auto intel =
+        measure::build_corpus(measure::SystemModel::intel(), 1000, 7);
+    core::CrossSystemConfig config;
+    config.repr = core::ReprKind::kPearson;
+    config.model = core::ModelKind::kKnn;
+    ServeShape s;
+    s.model.predictor = core::CrossSystemPredictor(config);
+    s.model.predictor.train_all(amd, intel);
+    const auto runs =
+        measure::measure_benchmark(0, measure::SystemModel::amd(), 10, 12345);
+    s.request.seed = 99;
+    s.request.n_samples = 2000;
+    s.request.n_metrics = static_cast<std::uint32_t>(runs.counters.cols());
+    s.request.runtimes = runs.runtimes;
+    for (std::size_t r = 0; r < runs.run_count(); ++r) {
+      for (std::size_t m = 0; m < runs.counters.cols(); ++m) {
+        s.request.counters.push_back(runs.counters.at(r, m));
+      }
+    }
+    return s;
+  }();
+  return shape;
+}
+
+void BM_ServePredict(benchmark::State& state) {
+  const ServeShape& shape = serve_shape();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::default_compute(shape.request, shape.model));
+  }
+}
+BENCHMARK(BM_ServePredict)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -332,7 +333,9 @@ namespace {
 
 bool write_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
-    const ssize_t wrote = ::write(fd, data, n);
+    // MSG_NOSIGNAL: a peer that hung up fails the call (EPIPE) instead of
+    // raising SIGPIPE in the whole process.
+    const ssize_t wrote = ::send(fd, data, n, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
       return false;

@@ -1,7 +1,7 @@
 #include "serve/server.hpp"
 
 #include <cstring>
-#include <future>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,12 +12,16 @@
 #include <unistd.h>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/expose.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::serve {
 
 namespace {
+
+constexpr std::uint32_t kMaxSamplesPerRequest = 1u << 20;
 
 /// Records one RED observation (rate / errors / duration) under `base`.
 void record_red(const std::string& base, bool error, std::uint64_t dur_ns) {
@@ -36,16 +40,51 @@ void send_error(int fd, std::uint64_t trace_id, ErrorCode code,
   write_frame(fd, MsgType::kError, trace_id, err.body());
 }
 
+void validate_predict_request(const PredictRequest& request) {
+  VARPRED_CHECK_ARG(!request.runtimes.empty(),
+                    "predict request has no probe runtimes");
+  VARPRED_CHECK_ARG(request.n_samples > 0, "n_samples must be positive");
+  VARPRED_CHECK_ARG(request.n_samples <= kMaxSamplesPerRequest,
+                    "n_samples exceeds the per-request cap");
+  VARPRED_CHECK_ARG(
+      request.counters.size() ==
+          request.runtimes.size() * request.n_metrics,
+      "counters must be runtimes x n_metrics values, row-major");
+  for (const double t : request.runtimes) {
+    VARPRED_CHECK_ARG(t > 0.0, "probe runtimes must be positive");
+  }
+}
+
+void set_queue_depth(std::size_t waiting) {
+  if (!obs::enabled()) return;
+  obs::Registry::global().gauge("serve.queue_depth").set(
+      static_cast<double>(waiting));
+}
+
 }  // namespace
 
+std::vector<double> default_compute(const PredictRequest& request,
+                                    const LoadedModel& model) {
+  validate_predict_request(request);
+  measure::BenchmarkRuns runs;
+  runs.benchmark = request.benchmark;
+  runs.runtimes = request.runtimes;
+  runs.counters = ml::Matrix(request.runtimes.size(), request.n_metrics);
+  for (std::size_t r = 0; r < request.runtimes.size(); ++r) {
+    for (std::size_t m = 0; m < request.n_metrics; ++m) {
+      runs.counters.at(r, m) = request.counters[r * request.n_metrics + m];
+    }
+  }
+  Rng rng(request.seed);
+  return model.predictor.predict_distribution(runs, request.n_samples, rng);
+}
+
 Server::Server(ModelRegistry& registry, ServerConfig config)
-    : registry_(registry), config_(config) {
-  Batcher::Config bc;
-  bc.queue_max = config_.queue_max;
-  bc.batch_max = config_.batch_max;
-  bc.batch_wait = config_.batch_wait;
-  bc.pool = config_.pool;
-  batcher_ = std::make_unique<Batcher>(bc);
+    : registry_(registry),
+      config_(std::move(config)),
+      slots_(ThreadPool::global().worker_count()) {
+  VARPRED_CHECK_ARG(config_.queue_max > 0, "queue_max must be positive");
+  if (!config_.compute) config_.compute = default_compute;
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   VARPRED_CHECK_ARG(listen_fd_ >= 0, "cannot create listen socket");
@@ -93,7 +132,6 @@ void Server::stop() {
     std::unique_lock<std::mutex> lock(conn_mu_);
     conn_cv_.wait(lock, [this] { return conn_active_ == 0; });
   }
-  batcher_->stop();
 }
 
 void Server::accept_loop(int listen_fd) {
@@ -210,11 +248,11 @@ bool Server::handle_frame(int fd, const Frame& frame) {
 
 void Server::handle_predict(int fd, const Frame& frame) {
   const std::uint64_t begin = obs::now_ns();
-  PredictRequest request = PredictRequest::parse(frame.body);
+  const PredictRequest request = PredictRequest::parse(frame.body);
 
-  // Resolve the model at admission: items already queued keep serving the
-  // version they resolved even if a swap publishes a newer one.
-  auto model = registry_.get(request.model, request.version);
+  // Resolve the model before admission: a swap published while this
+  // request waits or computes does not change the version serving it.
+  const auto model = registry_.get(request.model, request.version);
   if (model == nullptr) {
     send_error(fd, frame.trace_id, ErrorCode::kUnknownModel,
                "unknown model/version: " + request.model);
@@ -224,16 +262,8 @@ void Server::handle_predict(int fd, const Frame& frame) {
   const std::string versioned =
       "serve.predict." + model->name + ".v" + std::to_string(model->version);
 
-  std::promise<ServeResult> promise;
-  auto future = promise.get_future();
-  Batcher::Item item;
-  item.request = std::move(request);
-  item.model = model;
-  item.trace_id = frame.trace_id;
-  item.done = [&promise](ServeResult result) {
-    promise.set_value(std::move(result));
-  };
-  if (!batcher_->admit(std::move(item))) {
+  const std::uint64_t admit_ns = obs::now_ns();
+  if (!acquire_slot()) {
     send_error(fd, frame.trace_id, ErrorCode::kOverloaded,
                "admission queue full");
     const std::uint64_t dur = obs::now_ns() - begin;
@@ -241,16 +271,68 @@ void Server::handle_predict(int fd, const Frame& frame) {
     record_red(versioned, true, dur);
     return;
   }
-  ServeResult result = future.get();
-  if (result.ok) {
-    write_frame(fd, MsgType::kPredictOk, frame.trace_id,
-                result.response.body());
+  const std::uint64_t compute_begin = obs::now_ns();
+  PredictResponse response;
+  response.version = model->version;
+  response.queue_ns = compute_begin - admit_ns;
+  bool ok = false;
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+  try {
+    obs::Span span("serve.compute");
+    response.samples = config_.compute(request, *model);
+    ok = true;
+  } catch (const std::invalid_argument& e) {
+    code = ErrorCode::kBadRequest;
+    message = e.what();
+  } catch (const std::exception& e) {
+    message = e.what();
+  }
+  response.compute_ns = obs::now_ns() - compute_begin;
+  release_slot();
+  if (obs::enabled()) {
+    auto& reg = obs::Registry::global();
+    reg.hdr("serve.queue_wait_ns").record(response.queue_ns);
+    reg.hdr("serve.compute_ns").record(response.compute_ns);
+  }
+
+  if (ok) {
+    write_frame(fd, MsgType::kPredictOk, frame.trace_id, response.body());
   } else {
-    send_error(fd, frame.trace_id, result.code, result.message);
+    send_error(fd, frame.trace_id, code, std::move(message));
   }
   const std::uint64_t dur = obs::now_ns() - begin;
-  record_red("serve.predict", !result.ok, dur);
-  record_red(versioned, !result.ok, dur);
+  record_red("serve.predict", !ok, dur);
+  record_red(versioned, !ok, dur);
+}
+
+bool Server::acquire_slot() {
+  {
+    std::unique_lock<std::mutex> lock(slot_mu_);
+    if (computing_ >= slots_) {
+      if (waiting_ >= config_.queue_max) {
+        lock.unlock();
+        VARPRED_OBS_COUNT("serve.rejected", 1);
+        return false;
+      }
+      ++waiting_;
+      set_queue_depth(waiting_);
+      slot_cv_.wait(lock, [this] { return computing_ < slots_; });
+      --waiting_;
+      set_queue_depth(waiting_);
+    }
+    ++computing_;
+  }
+  VARPRED_OBS_COUNT("serve.admitted", 1);
+  return true;
+}
+
+void Server::release_slot() {
+  {
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    --computing_;
+  }
+  slot_cv_.notify_one();
 }
 
 }  // namespace varpred::serve

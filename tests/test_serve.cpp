@@ -1,23 +1,26 @@
 // Serving subsystem tests: wire codec and framing, the versioned model
-// registry (including checksum rejection of corrupt artifacts), batcher
-// admission control, the TCP server/client pair end-to-end, hot-swap
-// liveness under concurrent load, and request trace-id propagation across
-// thread boundaries.
+// registry (including checksum rejection of corrupt artifacts), the TCP
+// server/client pair end-to-end, admission control and compute errors
+// through the server's compute hook, stop() with live requests, hot-swap
+// liveness under concurrent load, and request trace-id propagation.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -26,11 +29,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/crosssystem.hpp"
 #include "measure/corpus.hpp"
 #include "obs/expose.hpp"
 #include "obs/obs.hpp"
-#include "serve/batcher.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -388,93 +391,6 @@ TEST(ServeRegistry, PublishFileRejectsCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Batcher admission control.
-
-TEST(ServeBatcher, OverloadRejectsAtQueueMax) {
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-
-  serve::Batcher::Config config;
-  config.queue_max = 2;
-  config.batch_max = 1;
-  config.batch_wait = std::chrono::microseconds(100);
-  config.compute = [&](const serve::Batcher::Item&) {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-    return std::vector<double>{1.0};
-  };
-  serve::Batcher batcher(config);
-
-  std::atomic<int> completed{0};
-  auto make_item = [&] {
-    serve::Batcher::Item item;
-    item.request.runtimes = {1.0};
-    item.done = [&](serve::ServeResult result) {
-      EXPECT_TRUE(result.ok);
-      completed.fetch_add(1);
-    };
-    return item;
-  };
-
-  // First item is picked up by the batcher thread and blocks in compute.
-  ASSERT_TRUE(batcher.admit(make_item()));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (batcher.queue_depth() != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(batcher.queue_depth(), 0u);
-
-  // Fill the queue to queue_max; the next admit must reject synchronously.
-  ASSERT_TRUE(batcher.admit(make_item()));
-  ASSERT_TRUE(batcher.admit(make_item()));
-  EXPECT_EQ(batcher.queue_depth(), 2u);
-  EXPECT_FALSE(batcher.admit(make_item()));
-
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  batcher.stop();  // drains: every admitted item still completes
-  EXPECT_EQ(completed.load(), 3);
-}
-
-TEST(ServeBatcher, ComputeExceptionsMapToTypedErrors) {
-  serve::Batcher::Config config;
-  config.batch_wait = std::chrono::microseconds(50);
-  config.compute = [](const serve::Batcher::Item& item)
-      -> std::vector<double> {
-    if (item.request.model == "bad") {
-      throw std::invalid_argument("bad shape");
-    }
-    throw std::runtime_error("boom");
-  };
-  serve::Batcher batcher(config);
-
-  std::promise<serve::ServeResult> bad_promise;
-  std::promise<serve::ServeResult> internal_promise;
-  serve::Batcher::Item bad;
-  bad.request.model = "bad";
-  bad.done = [&](serve::ServeResult r) { bad_promise.set_value(r); };
-  serve::Batcher::Item internal;
-  internal.done = [&](serve::ServeResult r) {
-    internal_promise.set_value(r);
-  };
-  ASSERT_TRUE(batcher.admit(std::move(bad)));
-  ASSERT_TRUE(batcher.admit(std::move(internal)));
-
-  const auto bad_result = bad_promise.get_future().get();
-  EXPECT_FALSE(bad_result.ok);
-  EXPECT_EQ(bad_result.code, ErrorCode::kBadRequest);
-  const auto internal_result = internal_promise.get_future().get();
-  EXPECT_FALSE(internal_result.ok);
-  EXPECT_EQ(internal_result.code, ErrorCode::kInternal);
-}
-
-// ---------------------------------------------------------------------------
 // Server + client end to end over loopback TCP.
 
 TEST(ServeEndToEnd, PredictMatchesDirectComputation) {
@@ -704,7 +620,252 @@ TEST(ServeEndToEnd, StopWhileClientsConnectInALoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-id propagation across thread boundaries.
+// Admission, compute errors and shutdown, through ServerConfig::compute.
+
+/// Compute hook body that counts its callers and holds them until opened.
+class Gate {
+ public:
+  std::vector<double> pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+    return {1.0};
+  }
+
+  /// Waits (bounded) until `n` callers have entered pass().
+  bool wait_entered(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return entered_ >= n; });
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  std::size_t entered() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entered_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t entered_ = 0;
+  bool open_ = false;
+};
+
+/// Client threads, each sending one predict; on scope exit the gate opens
+/// and every thread is joined, so a failed assertion cannot leave a thread
+/// blocked in the server or unjoined.
+class PredictClients {
+ public:
+  PredictClients(std::uint16_t port, Gate& gate) : port_(port), gate_(gate) {}
+  ~PredictClients() { join(); }
+  PredictClients(const PredictClients&) = delete;
+  PredictClients& operator=(const PredictClients&) = delete;
+
+  void send() {
+    threads_.emplace_back([this] {
+      try {
+        serve::Client client(port_);
+        if (client.predict(probe_request()).ok) ok_.fetch_add(1);
+      } catch (const std::exception&) {
+        // Transport failure (the server stopped mid-request): not ok.
+      }
+    });
+  }
+
+  void join() {
+    gate_.open();
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  std::size_t ok() const { return ok_.load(); }
+
+ private:
+  std::uint16_t port_;
+  Gate& gate_;
+  std::vector<std::thread> threads_;
+  std::atomic<std::size_t> ok_{0};
+};
+
+/// Waits (bounded) until the serve.queue_depth gauge reads `depth`.
+bool wait_for_queue_depth(double depth) {
+  auto& gauge = obs::Registry::global().gauge("serve.queue_depth");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (gauge.value() != depth) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A raw loopback connection whose reads give up after 30 s, so a request
+/// the server never answers fails the test instead of hanging it.
+int connect_with_read_timeout(std::uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{};
+  timeout.tv_sec = 30;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServeAdmission, OverloadRejectsBeyondSlotsAndQueueMax) {
+  // The queue-depth gauge is recorded only when observability is on.
+  obs::reset();
+  obs::set_mode(obs::Mode::kSummary);
+  serve::ModelRegistry registry;
+  registry.publish("demo", fresh_predictor());
+  Gate gate;
+  serve::ServerConfig config;
+  config.queue_max = 2;
+  config.compute = [&](const serve::PredictRequest&,
+                       const serve::LoadedModel&) { return gate.pass(); };
+  serve::Server server(registry, config);
+  const std::size_t slots = ThreadPool::global().worker_count();
+
+  PredictClients clients(server.port(), gate);
+  // Every compute slot is taken by a request blocked in the hook...
+  for (std::size_t i = 0; i < slots; ++i) clients.send();
+  ASSERT_TRUE(gate.wait_entered(slots));
+  // ...then queue_max more wait for a slot...
+  for (std::size_t i = 0; i < config.queue_max; ++i) clients.send();
+  ASSERT_TRUE(wait_for_queue_depth(2.0));
+
+  // ...so the next request is refused at once, and its connection stays.
+  const int fd = connect_with_read_timeout(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(serve::write_frame(fd, MsgType::kPredict, 9,
+                                 probe_request().body()));
+  std::optional<Frame> reply;
+  EXPECT_NO_THROW(reply = serve::read_frame(fd));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, MsgType::kError);
+  EXPECT_EQ(serve::ErrorResponse::parse(reply->body).code,
+            ErrorCode::kOverloaded);
+  ASSERT_TRUE(serve::write_frame(fd, MsgType::kPing, 10, ""));
+  reply = serve::read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, MsgType::kPingOk);
+  close(fd);
+
+  // Once the hook lets go, every admitted request completes ok.
+  clients.join();
+  EXPECT_EQ(clients.ok(), slots + config.queue_max);
+  EXPECT_EQ(gate.entered(), slots + config.queue_max);
+  obs::set_mode(obs::Mode::kOff);
+  obs::reset();
+}
+
+TEST(ServeAdmission, ComputeExceptionsMapToTypedErrors) {
+  serve::ModelRegistry registry;
+  registry.publish("demo", fresh_predictor());
+  serve::ServerConfig config;
+  config.compute = [](const serve::PredictRequest& request,
+                      const serve::LoadedModel&) -> std::vector<double> {
+    if (request.seed == 1) throw std::invalid_argument("bad shape");
+    if (request.seed == 2) throw std::runtime_error("boom");
+    return {static_cast<double>(request.seed)};
+  };
+  serve::Server server(registry, config);
+  serve::Client client(server.port());
+
+  const auto bad = client.predict(probe_request(1));
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.code, ErrorCode::kBadRequest);
+  EXPECT_EQ(bad.message, "bad shape");
+  const auto internal = client.predict(probe_request(2));
+  EXPECT_FALSE(internal.ok);
+  EXPECT_EQ(internal.code, ErrorCode::kInternal);
+  EXPECT_EQ(internal.message, "boom");
+
+  // The connection survives both and keeps serving.
+  EXPECT_TRUE(client.ping());
+  const auto good = client.predict(probe_request(3));
+  ASSERT_TRUE(good.ok);
+  EXPECT_EQ(good.response.samples, std::vector<double>{3.0});
+}
+
+TEST(ServeAdmission, StopWaitsForLiveComputes) {
+  obs::reset();
+  obs::set_mode(obs::Mode::kSummary);
+  serve::ModelRegistry registry;
+  registry.publish("demo", fresh_predictor());
+  const std::size_t slots = ThreadPool::global().worker_count();
+  const std::size_t threads_before = live_threads();
+
+  Gate gate;
+  std::atomic<std::size_t> finished{0};
+  serve::ServerConfig config;
+  config.compute = [&](const serve::PredictRequest&,
+                       const serve::LoadedModel&) {
+    auto samples = gate.pass();
+    finished.fetch_add(1);
+    return samples;
+  };
+  auto server = std::make_unique<serve::Server>(registry, config);
+  {
+    PredictClients clients(server->port(), gate);
+    // Every slot mid-compute, plus one request waiting for a slot.
+    for (std::size_t i = 0; i < slots + 1; ++i) clients.send();
+    ASSERT_TRUE(gate.wait_entered(slots));
+    ASSERT_TRUE(wait_for_queue_depth(1.0));
+
+    // stop() runs while the computes are held; the gate opens from another
+    // thread shortly after, and stop() must wait for all of them.
+    std::thread opener([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      gate.open();
+    });
+    server->stop();
+    EXPECT_EQ(finished.load(), slots + 1);
+    opener.join();
+  }
+  server.reset();
+
+  // Every connection thread exits: the thread count returns to its value
+  // before the server started.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live_threads() > threads_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(live_threads(), threads_before);
+  obs::set_mode(obs::Mode::kOff);
+  obs::reset();
+}
+
+// ---------------------------------------------------------------------------
+// Trace-id propagation.
 
 TEST(ServeTracing, TraceIdScopeNestsAndRestores) {
   EXPECT_EQ(obs::current_trace_id(), 0u);
@@ -720,7 +881,7 @@ TEST(ServeTracing, TraceIdScopeNestsAndRestores) {
   EXPECT_EQ(obs::current_trace_id(), 0u);
 }
 
-TEST(ServeTracing, RequestSpansShareTraceIdAcrossThreads) {
+TEST(ServeTracing, ComputeSpanNestsInRequestSpan) {
   obs::reset();
   obs::set_mode(obs::Mode::kTrace);
 
@@ -735,22 +896,23 @@ TEST(ServeTracing, RequestSpansShareTraceIdAcrossThreads) {
     server.stop();  // joins every thread: all spans are closed
   }
 
-  std::set<std::string> names;
-  std::set<std::uint32_t> tids;
+  std::vector<obs::TraceEvent> request;
+  std::vector<obs::TraceEvent> compute;
   for (const auto& event : obs::trace_events()) {
     if (event.trace_id != kTraceId) continue;
-    names.insert(event.name);
-    tids.insert(event.tid);
+    if (event.name == "serve.request") request.push_back(event);
+    if (event.name == "serve.compute") compute.push_back(event);
   }
   obs::set_mode(obs::Mode::kOff);
   obs::reset();
 
-  // The request's spans carry its id on the connection thread
-  // (serve.request) and on the batcher/pool side (serve.compute) — at
-  // least two distinct thread ids for one request.
-  EXPECT_EQ(names.count("serve.request"), 1u);
-  EXPECT_EQ(names.count("serve.compute"), 1u);
-  EXPECT_GE(tids.size(), 2u);
+  // Both spans carry the request's trace id, and the compute runs inside
+  // the request that admitted it.
+  ASSERT_EQ(request.size(), 1u);
+  ASSERT_EQ(compute.size(), 1u);
+  EXPECT_LE(request[0].start_ns, compute[0].start_ns);
+  EXPECT_LE(compute[0].start_ns + compute[0].dur_ns,
+            request[0].start_ns + request[0].dur_ns);
 }
 
 // ---------------------------------------------------------------------------
