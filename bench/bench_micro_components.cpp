@@ -205,6 +205,18 @@ void BM_PearsonConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_PearsonConstruct);
 
+// One PearsonRnd reconstruct at serve shape: the type IV target of
+// BM_PearsonConstruct, sanitized, fitted and drawn 2000 times.
+void BM_PearsonReconstruct(benchmark::State& state) {
+  const std::vector<double> encoded = {1.0, 0.02, 0.8, 4.5};
+  const core::PearsonRepr repr;
+  Rng rng(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(repr.reconstruct(encoded, 2000, rng));
+  }
+}
+BENCHMARK(BM_PearsonReconstruct)->Unit(benchmark::kMicrosecond);
+
 void BM_MaxEntSolve(benchmark::State& state) {
   stats::Moments target;
   target.mean = 1.0;

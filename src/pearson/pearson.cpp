@@ -209,34 +209,10 @@ PearsonSampler::PearsonSampler(const stats::Moments& target)
       p_d_ = lambda;
       raw_mean_ = 0.0;  // standardized by construction
       raw_sd_ = 1.0;
-
-      // Build the inverse-CDF table in theta = arctan((x - lambda) / a):
-      // the transformed density is cos(theta)^(2m-2) * exp(-nu * theta) on
-      // (-pi/2, pi/2), which is bounded and smooth.
-      constexpr std::size_t kGrid = 4096;
-      constexpr double kEdge = 1e-7;
-      iv_theta_.resize(kGrid + 1);
-      std::vector<double> logg(kGrid + 1);
-      const double lo = -M_PI_2 + kEdge;
-      const double hi = M_PI_2 - kEdge;
-      double max_logg = -1e300;
-      for (std::size_t i = 0; i <= kGrid; ++i) {
-        const double t = lo + (hi - lo) * static_cast<double>(i) /
-                                  static_cast<double>(kGrid);
-        iv_theta_[i] = t;
-        logg[i] = (2.0 * m - 2.0) * std::log(std::cos(t)) - nu * t;
-        max_logg = std::max(max_logg, logg[i]);
-      }
-      iv_cdf_.assign(kGrid + 1, 0.0);
-      for (std::size_t i = 1; i <= kGrid; ++i) {
-        const double g_prev = std::exp(logg[i - 1] - max_logg);
-        const double g_here = std::exp(logg[i] - max_logg);
-        iv_cdf_[i] = iv_cdf_[i - 1] +
-                     0.5 * (g_prev + g_here) * (iv_theta_[i] - iv_theta_[i - 1]);
-      }
-      const double total = iv_cdf_.back();
-      VARPRED_CHECK(total > 0.0, "type IV density integrated to zero");
-      for (auto& v : iv_cdf_) v /= total;
+      // Inverse-CDF table in theta = arctan((x - lambda) / a), where the
+      // density is bounded and smooth.
+      iv_cdf_ = detail::type_iv_cdf(m, nu);
+      iv_guide_ = detail::build_guide(iv_cdf_);
       break;
     }
 
@@ -317,15 +293,14 @@ double PearsonSampler::sample_standardized(Rng& rng) const {
     case PearsonType::kTypeIV: {
       // Inverse-CDF lookup over the theta table, then map back through tan.
       const double u = rng.uniform();
-      const auto it = std::lower_bound(iv_cdf_.begin(), iv_cdf_.end(), u);
-      std::size_t hi = static_cast<std::size_t>(it - iv_cdf_.begin());
+      const auto& theta = detail::type_iv_grid().theta;
+      std::size_t hi = detail::guided_index(iv_cdf_, iv_guide_, u);
       hi = std::clamp<std::size_t>(hi, 1, iv_cdf_.size() - 1);
       const std::size_t lo = hi - 1;
       const double span = iv_cdf_[hi] - iv_cdf_[lo];
       const double frac = span > 0.0 ? (u - iv_cdf_[lo]) / span : 0.5;
-      const double theta =
-          iv_theta_[lo] + frac * (iv_theta_[hi] - iv_theta_[lo]);
-      return flip_ * (p_d_ + p_c_ * std::tan(theta));
+      const double t = theta[lo] + frac * (theta[hi] - theta[lo]);
+      return flip_ * (p_d_ + p_c_ * std::tan(t));
     }
 
     case PearsonType::kTypeV:
@@ -350,6 +325,85 @@ std::vector<double> PearsonSampler::sample_many(Rng& rng,
   for (auto& v : out) v = sample(rng);
   return out;
 }
+
+namespace detail {
+
+const TypeIVGrid& type_iv_grid() {
+  // Keep the knots a hair inside (-pi/2, pi/2), where cos(theta) > 0.
+  constexpr double kEdge = 1e-7;
+  static const TypeIVGrid grid = [] {
+    TypeIVGrid g;
+    const double lo = -M_PI_2 + kEdge;
+    const double hi = M_PI_2 - kEdge;
+    for (std::size_t i = 0; i <= kTypeIVGrid; ++i) {
+      const double t = lo + (hi - lo) * static_cast<double>(i) /
+                                static_cast<double>(kTypeIVGrid);
+      g.theta[i] = t;
+      // The table must hold what the run-time libm returns. GCC otherwise
+      // evaluates this whole initializer at compile time with correctly
+      // rounded cos and log, which differ from glibc's in the last ulp at a
+      // few knots and change draws. A volatile copy of t does not stop it;
+      // an empty asm that may rewrite t does. Tested by
+      // PearsonGrid.LogCosIsComputedByRuntimeLibm.
+      double opaque = t;
+      asm volatile("" : "+m"(opaque));
+      g.log_cos[i] = std::log(std::cos(opaque));
+    }
+    return g;
+  }();
+  return grid;
+}
+
+std::vector<double> type_iv_cdf(double m, double nu) {
+  const TypeIVGrid& grid = type_iv_grid();
+  // The table first holds the log density; the trapezoid pass overwrites it
+  // in place with the running integral, carrying each knot's density to
+  // the next interval so every knot costs one exp.
+  std::vector<double> cdf(kTypeIVGrid + 1);
+  double max_logg = -1e300;
+  for (std::size_t i = 0; i <= kTypeIVGrid; ++i) {
+    cdf[i] = (2.0 * m - 2.0) * grid.log_cos[i] - nu * grid.theta[i];
+    max_logg = std::max(max_logg, cdf[i]);
+  }
+  double g_prev = std::exp(cdf[0] - max_logg);
+  cdf[0] = 0.0;
+  for (std::size_t i = 1; i <= kTypeIVGrid; ++i) {
+    const double g_here = std::exp(cdf[i] - max_logg);
+    cdf[i] = cdf[i - 1] +
+             0.5 * (g_prev + g_here) * (grid.theta[i] - grid.theta[i - 1]);
+    g_prev = g_here;
+  }
+  const double total = cdf.back();
+  VARPRED_CHECK(total > 0.0, "type IV density integrated to zero");
+  for (auto& v : cdf) v /= total;
+  return cdf;
+}
+
+std::vector<std::uint16_t> build_guide(std::span<const double> cdf) {
+  VARPRED_CHECK_ARG(!cdf.empty() && cdf.size() <= 65536 && cdf.back() == 1.0,
+                    "guide needs a CDF of at most 65536 knots ending at 1");
+  std::vector<std::uint16_t> guide(kGuideBuckets);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < kGuideBuckets; ++j) {
+    const double edge =
+        static_cast<double>(j) / static_cast<double>(kGuideBuckets);
+    while (cdf[i] < edge) ++i;  // stops at back() == 1 at the latest
+    guide[j] = static_cast<std::uint16_t>(i);
+  }
+  return guide;
+}
+
+std::size_t guided_index(std::span<const double> cdf,
+                         std::span<const std::uint16_t> guide, double u) {
+  // guide[j] = lower_bound(j / G) <= lower_bound(u) because j / G <= u, so
+  // the walk from there meets the same first value >= u.
+  std::size_t i =
+      guide[static_cast<std::size_t>(u * static_cast<double>(kGuideBuckets))];
+  while (cdf[i] < u) ++i;
+  return i;
+}
+
+}  // namespace detail
 
 std::vector<double> pearsrnd(const stats::Moments& target, std::size_t n,
                              Rng& rng) {

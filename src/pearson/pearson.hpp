@@ -18,7 +18,10 @@
 // requested skewness/kurtosis up to sampling error.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,10 +93,46 @@ class PearsonSampler {
   // Orientation: -1 when the family was fitted to the mirrored moments.
   double flip_ = 1.0;
 
-  // Type IV inverse-CDF table over theta in (-pi/2, pi/2).
-  std::vector<double> iv_theta_;
+  // Type IV inverse CDF at the knots of detail::type_iv_grid(), and its
+  // guide table (see detail::guided_index).
   std::vector<double> iv_cdf_;
+  std::vector<std::uint16_t> iv_guide_;
 };
+
+namespace detail {
+
+/// Intervals of the type IV table: kTypeIVGrid + 1 knots over
+/// theta in (-pi/2, pi/2).
+inline constexpr std::size_t kTypeIVGrid = 4096;
+/// Buckets of a guide table over [0, 1). A power of two, so the bucket of
+/// u, floor(u * kGuideBuckets), is computed exactly.
+inline constexpr std::size_t kGuideBuckets = 4096;
+
+/// The moment-independent part of every type IV table, computed once per
+/// process on first use (thread-safe) and shared by all samplers.
+struct TypeIVGrid {
+  std::array<double, kTypeIVGrid + 1> theta;    ///< the knots
+  std::array<double, kTypeIVGrid + 1> log_cos;  ///< std::log(std::cos(theta))
+};
+const TypeIVGrid& type_iv_grid();
+
+/// Normalized trapezoid CDF at the grid knots of the type IV density in
+/// theta = arctan((x - lambda) / a), proportional to
+/// cos(theta)^(2m-2) * exp(-nu * theta). Nondecreasing, front() == 0 and
+/// back() == 1 exactly.
+std::vector<double> type_iv_cdf(double m, double nu);
+
+/// Guide table of a CDF (Chen & Asau): entry j is the first index whose
+/// value is >= j / kGuideBuckets. `cdf` must be nondecreasing with
+/// back() == 1 and at most 65536 entries.
+std::vector<std::uint16_t> build_guide(std::span<const double> cdf);
+
+/// The index std::lower_bound(cdf, u) returns, for u in [0, 1), found by
+/// starting at the guide entry of u's bucket and walking forward.
+std::size_t guided_index(std::span<const double> cdf,
+                         std::span<const std::uint16_t> guide, double u);
+
+}  // namespace detail
 
 /// One-shot convenience: n draws matching `target`.
 std::vector<double> pearsrnd(const stats::Moments& target, std::size_t n,
