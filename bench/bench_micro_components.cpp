@@ -332,6 +332,24 @@ void BM_GbtFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtFit)->Unit(benchmark::kMillisecond);
 
+// One 10-probe request from the amd system at the shape the end-to-end
+// benchmark's serve_mix workload sends (75 metrics, 2000 samples asked).
+serve::PredictRequest serve_request() {
+  const auto runs =
+      measure::measure_benchmark(0, measure::SystemModel::amd(), 10, 12345);
+  serve::PredictRequest request;
+  request.seed = 99;
+  request.n_samples = 2000;
+  request.n_metrics = static_cast<std::uint32_t>(runs.counters.cols());
+  request.runtimes = runs.runtimes;
+  for (std::size_t r = 0; r < runs.run_count(); ++r) {
+    for (std::size_t m = 0; m < runs.counters.cols(); ++m) {
+      request.counters.push_back(runs.counters.at(r, m));
+    }
+  }
+  return request;
+}
+
 // Serve compute at the shape the end-to-end benchmark's serve_mix workload
 // serves: the paper's PearsonRnd+kNN amd->intel transfer model trained on
 // the seed-7 corpora (60 benchmarks x 1000 runs), one 10-probe request,
@@ -353,17 +371,7 @@ const ServeShape& serve_shape() {
     ServeShape s;
     s.model.predictor = core::CrossSystemPredictor(config);
     s.model.predictor.train_all(amd, intel);
-    const auto runs =
-        measure::measure_benchmark(0, measure::SystemModel::amd(), 10, 12345);
-    s.request.seed = 99;
-    s.request.n_samples = 2000;
-    s.request.n_metrics = static_cast<std::uint32_t>(runs.counters.cols());
-    s.request.runtimes = runs.runtimes;
-    for (std::size_t r = 0; r < runs.run_count(); ++r) {
-      for (std::size_t m = 0; m < runs.counters.cols(); ++m) {
-        s.request.counters.push_back(runs.counters.at(r, m));
-      }
-    }
+    s.request = serve_request();
     return s;
   }();
   return shape;
@@ -377,6 +385,31 @@ void BM_ServePredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServePredict)->Unit(benchmark::kMicrosecond);
+
+// The four codec steps of one predict round trip at the serve shape: encode
+// the request frame, decode its body, encode the 2000-sample response
+// frame, decode its body (what perfbench reports as serve.codec_us).
+void BM_ServeCodec(benchmark::State& state) {
+  serve::PredictRequest request = serve_request();
+  request.model = "served";
+  serve::PredictResponse response;
+  response.version = 1;
+  Rng rng(6);
+  for (int i = 0; i < 2000; ++i) {
+    response.samples.push_back(rng.uniform(0.9, 1.3));
+  }
+  for (auto _ : state) {
+    const std::string req_frame =
+        serve::encode_frame(serve::MsgType::kPredict, 1, request.body());
+    benchmark::DoNotOptimize(serve::PredictRequest::parse(
+        std::string_view(req_frame).substr(13)));
+    const std::string resp_frame =
+        serve::encode_frame(serve::MsgType::kPredictOk, 1, response.body());
+    benchmark::DoNotOptimize(serve::PredictResponse::parse(
+        std::string_view(resp_frame).substr(13)));
+  }
+}
+BENCHMARK(BM_ServeCodec)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

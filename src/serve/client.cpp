@@ -48,13 +48,13 @@ Frame Client::round_trip(MsgType type, std::uint64_t trace_id,
   VARPRED_CHECK_ARG(fd_ >= 0, "client not connected");
   VARPRED_CHECK_ARG(write_frame(fd_, type, trace_id, body),
                     "connection closed while sending");
-  const auto frame = read_frame(fd_);
+  auto frame = read_frame(fd_);
   VARPRED_CHECK_ARG(frame.has_value(),
                     "connection closed while awaiting a response");
   VARPRED_CHECK_ARG(
       frame->type == expect || frame->type == MsgType::kError,
       std::string("unexpected response type: ") + to_string(frame->type));
-  return *frame;
+  return std::move(*frame);
 }
 
 bool Client::ping() {

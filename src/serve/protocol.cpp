@@ -1,11 +1,13 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 
 #include <sys/socket.h>
-#include <unistd.h>
+#include <sys/uio.h>
 
 #include "common/check.hpp"
 
@@ -78,25 +80,32 @@ bool known_type(std::uint8_t raw) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// WireWriter
+// WireWriter / WireReader
+//
+// The wire is little-endian and so is every target this repo builds for, so
+// a value's bytes are its memory bytes: each primitive is one memcpy, and a
+// vector of doubles goes out and comes back in one block copy.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies host bytes as little-endian");
+
+namespace {
+
+template <class T>
+void append_bytes(std::string& buf, const T& value) {
+  buf.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+}  // namespace
 
 void WireWriter::u8(std::uint8_t value) {
   buf_.push_back(static_cast<char>(value));
 }
 
-void WireWriter::u32(std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
+void WireWriter::u32(std::uint32_t value) { append_bytes(buf_, value); }
 
-void WireWriter::u64(std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
+void WireWriter::u64(std::uint64_t value) { append_bytes(buf_, value); }
 
-void WireWriter::f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
+void WireWriter::f64(double value) { append_bytes(buf_, value); }
 
 void WireWriter::str(std::string_view value) {
   VARPRED_CHECK_ARG(value.size() <= kMaxFramePayload, "string too large");
@@ -108,14 +117,12 @@ void WireWriter::f64s(const std::vector<double>& values) {
   VARPRED_CHECK_ARG(values.size() <= kMaxFramePayload / 8,
                     "vector too large");
   u32(static_cast<std::uint32_t>(values.size()));
-  for (const double v : values) f64(v);
+  buf_.append(reinterpret_cast<const char*>(values.data()),
+              values.size() * sizeof(double));
 }
 
-// ---------------------------------------------------------------------------
-// WireReader
-
 void WireReader::need(std::size_t n) const {
-  VARPRED_CHECK_ARG(pos_ + n <= data_.size(),
+  VARPRED_CHECK_ARG(n <= data_.size() - pos_,
                     "malformed frame body: read past end");
 }
 
@@ -127,11 +134,7 @@ std::uint8_t WireReader::u8() {
 std::uint32_t WireReader::u32() {
   need(4);
   std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-  }
+  std::memcpy(&value, data_.data() + pos_, 4);
   pos_ += 4;
   return value;
 }
@@ -139,11 +142,7 @@ std::uint32_t WireReader::u32() {
 std::uint64_t WireReader::u64() {
   need(8);
   std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-  }
+  std::memcpy(&value, data_.data() + pos_, 8);
   pos_ += 8;
   return value;
 }
@@ -162,10 +161,11 @@ std::vector<double> WireReader::f64s() {
   const std::uint32_t count = u32();
   // Each element is 8 bytes, so the count is bounded by what the body can
   // actually hold — a lying count fails here, before any allocation.
-  need(static_cast<std::size_t>(count) * 8);
-  std::vector<double> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) out.push_back(f64());
+  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(double);
+  need(bytes);
+  std::vector<double> out(count);
+  if (count > 0) std::memcpy(out.data(), data_.data() + pos_, bytes);
+  pos_ += bytes;
   return out;
 }
 
@@ -307,7 +307,12 @@ std::string ErrorResponse::body() const {
 ErrorResponse ErrorResponse::parse(std::string_view body) {
   WireReader r(body);
   ErrorResponse out;
-  out.code = static_cast<ErrorCode>(r.u32());
+  const std::uint32_t code = r.u32();
+  VARPRED_CHECK_ARG(
+      code >= static_cast<std::uint32_t>(ErrorCode::kMalformed) &&
+          code <= static_cast<std::uint32_t>(ErrorCode::kInternal),
+      "malformed error body: unknown error code");
+  out.code = static_cast<ErrorCode>(code);
   out.message = r.str();
   r.expect_done();
   return out;
@@ -316,87 +321,130 @@ ErrorResponse ErrorResponse::parse(std::string_view body) {
 // ---------------------------------------------------------------------------
 // Framing
 
-std::string encode_frame(MsgType type, std::uint64_t trace_id,
-                         std::string_view body) {
-  VARPRED_CHECK_ARG(body.size() + 9 <= kMaxFramePayload,
-                    "frame body exceeds kMaxFramePayload");
-  WireWriter w;
-  w.u32(static_cast<std::uint32_t>(body.size() + 9));
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(trace_id);
-  std::string out = w.take();
-  out.append(body);
-  return out;
-}
-
 namespace {
 
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
+/// Length prefix (u32) + message type (u8) + trace id (u64).
+constexpr std::size_t kHeaderBytes = 13;
+
+/// Body bytes read before the buffer first has to grow. Past it, the body
+/// grows by doubling as bytes arrive, so a lying length prefix pins at most
+/// twice what the peer actually sent.
+constexpr std::size_t kBodyChunk = 64u << 10;
+
+using Header = std::array<char, kHeaderBytes>;
+
+Header encode_header(MsgType type, std::uint64_t trace_id,
+                     std::size_t body_size) {
+  VARPRED_CHECK_ARG(body_size + 9 <= kMaxFramePayload,
+                    "frame body exceeds kMaxFramePayload");
+  const auto length = static_cast<std::uint32_t>(body_size + 9);
+  Header header{};
+  std::memcpy(header.data(), &length, 4);
+  header[4] = static_cast<char>(type);
+  std::memcpy(header.data() + 5, &trace_id, 8);
+  return header;
+}
+
+/// Drops the first `n` bytes of the iovec list, skipping emptied entries.
+void consume(iovec*& iov, int& count, std::size_t n) {
+  while (count > 0 && n >= iov->iov_len) {
+    n -= iov->iov_len;
+    ++iov;
+    --count;
+  }
+  if (count > 0) {
+    iov->iov_base = static_cast<char*>(iov->iov_base) + n;
+    iov->iov_len -= n;
+  }
+}
+
+bool write_all(int fd, iovec* iov, int count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(count);
     // MSG_NOSIGNAL: a peer that hung up fails the call (EPIPE) instead of
     // raising SIGPIPE in the whole process.
-    const ssize_t wrote = ::send(fd, data, n, MSG_NOSIGNAL);
+    const ssize_t wrote = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     if (wrote == 0) return false;
-    data += wrote;
-    n -= static_cast<std::size_t>(wrote);
+    consume(iov, count, static_cast<std::size_t>(wrote));
   }
   return true;
 }
 
-/// 1 = read n bytes, 0 = clean EOF before the first byte, -1 = error or
-/// EOF mid-read.
-int read_exact(int fd, char* data, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, data + got, n - got);
-    if (r < 0) {
+/// 1 = filled every iovec, 0 = clean EOF before the first byte, -1 = error
+/// or EOF mid-read.
+int read_all(int fd, iovec* iov, int count) {
+  bool any = false;
+  while (count > 0) {
+    const ssize_t got = ::readv(fd, iov, count);
+    if (got < 0) {
       if (errno == EINTR) continue;
       return -1;
     }
-    if (r == 0) return got == 0 ? 0 : -1;
-    got += static_cast<std::size_t>(r);
+    if (got == 0) return any ? -1 : 0;
+    any = true;
+    consume(iov, count, static_cast<std::size_t>(got));
   }
   return 1;
 }
 
 }  // namespace
 
+std::string encode_frame(MsgType type, std::uint64_t trace_id,
+                         std::string_view body) {
+  const Header header = encode_header(type, trace_id, body.size());
+  std::string out;
+  out.reserve(kHeaderBytes + body.size());
+  out.append(header.data(), header.size());
+  out.append(body);
+  return out;
+}
+
 bool write_frame(int fd, MsgType type, std::uint64_t trace_id,
                  std::string_view body) {
-  const std::string bytes = encode_frame(type, trace_id, body);
-  return write_all(fd, bytes.data(), bytes.size());
+  Header header = encode_header(type, trace_id, body.size());
+  iovec iov[2] = {{header.data(), header.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  return write_all(fd, iov, 2);
 }
 
 std::optional<Frame> read_frame(int fd) {
-  char prefix[4];
-  const int rc = read_exact(fd, prefix, sizeof(prefix));
+  std::uint32_t length = 0;
+  iovec prefix{&length, sizeof(length)};
+  const int rc = read_all(fd, &prefix, 1);
   if (rc == 0) return std::nullopt;  // clean EOF between frames
   VARPRED_CHECK_ARG(rc == 1, "connection closed mid-frame");
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(
-                  static_cast<unsigned char>(prefix[i]))
-              << (8 * i);
-  }
   VARPRED_CHECK_ARG(length >= 9, "malformed frame: payload shorter than "
                                  "header");
   VARPRED_CHECK_ARG(length <= kMaxFramePayload,
                     "malformed frame: payload exceeds the size cap");
-  std::string payload(length, '\0');
-  VARPRED_CHECK_ARG(read_exact(fd, payload.data(), length) == 1,
+  // Type and trace id land on the stack, the body straight in Frame::body.
+  const std::size_t body_size = length - 9;
+  Frame frame;
+  char header[9] = {};
+  std::size_t have = std::min(body_size, kBodyChunk);
+  frame.body.resize(have);
+  iovec first[2] = {{header, sizeof(header)}, {frame.body.data(), have}};
+  VARPRED_CHECK_ARG(read_all(fd, first, 2) == 1,
                     "connection closed mid-frame");
-  WireReader r(payload);
-  const std::uint8_t raw_type = r.u8();
+  const auto raw_type = static_cast<std::uint8_t>(header[0]);
   VARPRED_CHECK_ARG(known_type(raw_type), "malformed frame: unknown message "
                                           "type");
-  Frame frame;
   frame.type = static_cast<MsgType>(raw_type);
-  frame.trace_id = r.u64();
-  frame.body = payload.substr(9);
+  std::memcpy(&frame.trace_id, header + 1, 8);
+  while (have < body_size) {
+    const std::size_t next = std::min(body_size, 2 * have);
+    frame.body.resize(next);
+    iovec rest{frame.body.data() + have, next - have};
+    VARPRED_CHECK_ARG(read_all(fd, &rest, 1) == 1,
+                      "connection closed mid-frame");
+    have = next;
+  }
   return frame;
 }
 

@@ -1,23 +1,30 @@
-// Serving subsystem tests: wire codec and framing, the versioned model
-// registry (including checksum rejection of corrupt artifacts), the TCP
-// server/client pair end-to-end, admission control and compute errors
-// through the server's compute hook, stop() with live requests, hot-swap
-// liveness under concurrent load, and request trace-id propagation.
+// Serving subsystem tests: wire codec and framing (golden frame hashes and a
+// seeded mutation test over every decoder), the versioned model registry
+// (including checksum rejection of corrupt artifacts), the TCP server/client
+// pair end-to-end, admission control and compute errors through the
+// server's compute hook, stop() with live requests, memory pinned by
+// stalled peers, hot-swap liveness under concurrent load, and request
+// trace-id propagation.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -25,12 +32,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/crosssystem.hpp"
+#include "io/serialize.hpp"
 #include "measure/corpus.hpp"
 #include "obs/expose.hpp"
 #include "obs/obs.hpp"
@@ -252,6 +261,161 @@ TEST(ServeProtocol, EncodeFrameLayout) {
   EXPECT_EQ(wire.substr(13), "AB");
 }
 
+TEST(ServeProtocol, ErrorResponseRejectsUnknownCodes) {
+  for (const std::uint32_t raw : {0u, 6u, 255u, 0xFFFFFFFFu}) {
+    serve::WireWriter w;
+    w.u32(raw);
+    w.str("x");
+    EXPECT_THROW(serve::ErrorResponse::parse(w.bytes()),
+                 std::invalid_argument)
+        << "code " << raw;
+  }
+  for (std::uint32_t raw = 1; raw <= 5; ++raw) {
+    serve::WireWriter w;
+    w.u32(raw);
+    w.str("x");
+    const auto error = serve::ErrorResponse::parse(w.bytes());
+    EXPECT_EQ(static_cast<std::uint32_t>(error.code), raw);
+    EXPECT_STRNE(serve::to_string(error.code), "?");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire bytes: one fixed instance of every message, pinned by the
+// FNV-1a hash of its whole frame. The instances carry the values a codec
+// most easily mangles (-0.0, a NaN with payload bits, denormals, +-inf,
+// empty and non-ASCII strings) and the serve shape (10 probe runs x 75
+// metrics in, 2000 samples out). Every value is an exact binary fraction or
+// a bit pattern, so the bytes do not depend on floating-point evaluation.
+
+struct GoldenMessage {
+  const char* name;
+  MsgType type;
+  std::uint64_t trace_id;
+  std::string body;
+
+  std::string frame() const {
+    return serve::encode_frame(type, trace_id, body);
+  }
+};
+
+double from_bits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+const std::vector<GoldenMessage>& golden_messages() {
+  static const std::vector<GoldenMessage> messages = [] {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan_payload = from_bits(0x7FF800000000BEEFull);
+    const double snan_negative = from_bits(0xFFF0000000000001ull);
+    const double denorm_min = from_bits(0x0000000000000001ull);
+    const double denorm_max = from_bits(0x000FFFFFFFFFFFFFull);
+
+    serve::PredictRequest request;
+    request.model = "demo";
+    request.version = 3;
+    request.seed = ~std::uint64_t{0};
+    request.n_samples = 128;
+    request.benchmark = 5;
+    request.n_metrics = 2;
+    request.runtimes = {1.0, -0.0, inf};
+    request.counters = {nan_payload, denorm_min, -inf,
+                        denorm_max,  1.5e300,    -0.25};
+
+    serve::PredictRequest served;
+    served.model = "served";
+    served.seed = 31;
+    served.n_samples = 2000;
+    served.benchmark = 17;
+    served.n_metrics = 75;
+    for (std::uint32_t r = 0; r < 10; ++r) {
+      served.runtimes.push_back(1.0 + r / 64.0);
+    }
+    for (std::uint32_t k = 0; k < 10 * 75; ++k) {
+      served.counters.push_back(((k * 7919u) % 100003u) / 256.0);
+    }
+
+    serve::PredictResponse response;
+    response.version = 2;
+    response.queue_ns = 1000;
+    response.compute_ns = ~std::uint64_t{0};
+    response.samples = {-0.0, nan_payload, snan_negative, denorm_min,
+                        inf,  -inf,        0.9};
+
+    serve::PredictResponse answer;
+    answer.version = 1;
+    answer.queue_ns = 12345;
+    answer.compute_ns = 223000;
+    for (std::uint32_t i = 0; i < 2000; ++i) {
+      answer.samples.push_back(0.75 + i / 4096.0);
+    }
+
+    serve::SwapRequest swap{"", "/models/\xce\xbc-caf\xc3\xa9.vp"};
+    serve::SwapResponse swapped;
+    swapped.version = 9;
+    serve::ListResponse list;
+    list.entries.push_back({"a", 1, "amd", "a.vp"});
+    list.entries.push_back(
+        {"\xe6\xa8\xa1\xe5\x9e\x8b", ~std::uint64_t{0}, "", "<inline>"});
+    serve::StatsResponse stats{"varpred_serve_requests 3\n"};
+    serve::ErrorResponse error{ErrorCode::kOverloaded,
+                               "queue full \xe2\x9c\x93"};
+    serve::ErrorResponse bare{ErrorCode::kMalformed, ""};
+
+    return std::vector<GoldenMessage>{
+        {"ping", MsgType::kPing, 0, ""},
+        {"ping_ok", MsgType::kPingOk, 0, ""},
+        {"predict", MsgType::kPredict, 0x0123456789ABCDEFull, request.body()},
+        {"predict_served", MsgType::kPredict, 1, served.body()},
+        {"predict_ok", MsgType::kPredictOk, 0xFEDCBA9876543210ull,
+         response.body()},
+        {"predict_ok_served", MsgType::kPredictOk, 1, answer.body()},
+        {"swap", MsgType::kSwap, 7, swap.body()},
+        {"swap_ok", MsgType::kSwapOk, 7, swapped.body()},
+        {"list", MsgType::kList, 8, ""},
+        {"list_ok", MsgType::kListOk, 8, list.body()},
+        {"stats", MsgType::kStats, 9, ""},
+        {"stats_ok", MsgType::kStatsOk, 9, stats.body()},
+        {"error", MsgType::kError, 10, error.body()},
+        {"error_bare", MsgType::kError, ~std::uint64_t{0}, bare.body()},
+    };
+  }();
+  return messages;
+}
+
+TEST(ServeProtocol, GoldenFrameBytes) {
+  // Hashes taken on the per-byte codec, before the bulk memcpy codec.
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"ping", 0xff99e6550e5e3097ull},
+      {"ping_ok", 0x4a6f378ac0e32717ull},
+      {"predict", 0xce8d6d159d430e6cull},
+      {"predict_served", 0x443b7532ea599877ull},
+      {"predict_ok", 0x01933cf182b6cbbfull},
+      {"predict_ok_served", 0xda85860121f00c2eull},
+      {"swap", 0xbc4312e3784a17bdull},
+      {"swap_ok", 0x28f649b578313b5bull},
+      {"list", 0x26b00338cfdd1130ull},
+      {"list_ok", 0x57aaea3187ca58a5ull},
+      {"stats", 0x9b1f918d5988bd22ull},
+      {"stats_ok", 0xf6310a18b5529264ull},
+      {"error", 0xcd2535a66c2ab53bull},
+      {"error_bare", 0xe799b04e9d39e7c8ull},
+  };
+  const auto& messages = golden_messages();
+  ASSERT_EQ(messages.size(), expected.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    ASSERT_EQ(messages[i].name, expected[i].first);
+    const std::string frame = messages[i].frame();
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(io::fnv1a64(frame)));
+    EXPECT_EQ(io::fnv1a64(frame), expected[i].second)
+        << messages[i].name << " hashes to " << hex << " ("
+        << frame.size() << " bytes)";
+  }
+  // The serve shape: a 6139-byte request frame, a 16041-byte response.
+  EXPECT_EQ(messages[3].frame().size(), 6139u);
+  EXPECT_EQ(messages[5].frame().size(), 16041u);
+}
+
 // ---------------------------------------------------------------------------
 // Framing over a socketpair.
 
@@ -309,6 +473,214 @@ TEST(ServeFraming, TruncatedFrameThrows) {
   ASSERT_EQ(write(s.fd[0], bytes, 9), 9);
   s.close_writer();
   EXPECT_THROW(serve::read_frame(s.fd[1]), std::invalid_argument);
+}
+
+TEST(ServeFraming, WriteFrameResumesInterruptedSends) {
+  // A signal landing mid-send makes send() return early: EINTR before the
+  // first byte, a short count after it. The handler is installed without
+  // SA_RESTART and the send buffer is small, so a 1 MiB frame written while
+  // the reader keeps signalling the writer is cut many times over.
+  struct sigaction action{};
+  struct sigaction previous{};
+  action.sa_handler = [](int) {};
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &action, &previous), 0);
+  SocketPair s;
+  const int small = 4096;
+  EXPECT_EQ(setsockopt(s.fd[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+            0);
+  std::string body(1u << 20, '\0');
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>(i * 131 % 251);
+  }
+  std::atomic<bool> sent{false};
+  std::thread writer([&] {
+    sent = serve::write_frame(s.fd[0], MsgType::kPredictOk, 7, body);
+  });
+  const std::string want = serve::encode_frame(MsgType::kPredictOk, 7, body);
+  std::string got;
+  char buf[4096];
+  while (got.size() < want.size()) {
+    pthread_kill(writer.native_handle(), SIGUSR1);
+    const ssize_t n = read(s.fd[1], buf, sizeof(buf));
+    if (n <= 0) break;
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+  writer.join();
+  sigaction(SIGUSR1, &previous, nullptr);
+  EXPECT_TRUE(sent.load());
+  EXPECT_TRUE(got == want) << "received " << got.size() << " of "
+                           << want.size() << " bytes";
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation test over every serve decoder. Starting from the golden
+// bodies and frames, it feeds each decoder truncations at every length,
+// seeded byte flips, u32 lengths and counts inflated up to 2^32-1, and
+// splices of two valid inputs. The contract: an input either decodes to a
+// message that encodes back to exactly the same bytes, or is rejected with
+// std::invalid_argument. Crashes, other exceptions, over-reads (under
+// ASan) and lossy decodes all fail.
+
+using Reencode = std::string (*)(std::string_view);
+
+template <class Message>
+std::string reencode(std::string_view body) {
+  return Message::parse(body).body();
+}
+
+constexpr std::pair<const char*, Reencode> kDecoders[] = {
+    {"PredictRequest", reencode<serve::PredictRequest>},
+    {"PredictResponse", reencode<serve::PredictResponse>},
+    {"SwapRequest", reencode<serve::SwapRequest>},
+    {"SwapResponse", reencode<serve::SwapResponse>},
+    {"ListResponse", reencode<serve::ListResponse>},
+    {"StatsResponse", reencode<serve::StatsResponse>},
+    {"ErrorResponse", reencode<serve::ErrorResponse>},
+};
+
+/// Empty when every decoder keeps the contract on `body`, else what broke.
+std::string decode_violation(std::string_view body) {
+  for (const auto& [name, decode] : kDecoders) {
+    try {
+      if (decode(body) != body) {
+        return std::string(name) + " decoded to a different encoding";
+      }
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& e) {
+      return std::string(name) + " threw a non-argument error: " + e.what();
+    }
+  }
+  return "";
+}
+
+/// Feeds `wire` to read_frame over a socketpair until EOF or a rejection.
+/// Each frame read must re-encode to exactly the bytes it consumed, and its
+/// body must keep the decoder contract.
+std::string frame_violation(std::string_view wire) {
+  SocketPair s;
+  std::size_t written = 0;
+  while (written < wire.size()) {
+    const ssize_t n =
+        write(s.fd[0], wire.data() + written, wire.size() - written);
+    if (n <= 0) return "socketpair write failed";
+    written += static_cast<std::size_t>(n);
+  }
+  s.close_writer();
+  std::size_t consumed = 0;
+  try {
+    for (;;) {
+      const auto frame = serve::read_frame(s.fd[1]);
+      if (!frame.has_value()) {
+        return consumed == wire.size() ? "" : "clean EOF inside a frame";
+      }
+      const std::string again =
+          serve::encode_frame(frame->type, frame->trace_id, frame->body);
+      if (wire.compare(consumed, again.size(), again) != 0) {
+        return "read_frame returned a frame that re-encodes differently";
+      }
+      consumed += again.size();
+      const std::string bad = decode_violation(frame->body);
+      if (!bad.empty()) return bad;
+    }
+  } catch (const std::invalid_argument&) {
+    return "";
+  } catch (const std::exception& e) {
+    return std::string("read_frame threw a non-argument error: ") + e.what();
+  }
+}
+
+/// Visits truncations at every length, seeded byte flips and inflated u32
+/// fields of one valid input, one mutant at a time.
+template <class Visit>
+void for_each_mutant(const std::string& valid, Rng& rng, Visit&& visit) {
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    visit(std::string_view(valid).substr(0, n));
+  }
+  if (valid.empty()) return;
+  for (int i = 0; i < 48; ++i) {
+    std::string m = valid;
+    const int flips = 1 + static_cast<int>(rng.next_u64() % 4);
+    for (int f = 0; f < flips; ++f) {
+      m[rng.next_u64() % m.size()] ^=
+          static_cast<char>(1 + rng.next_u64() % 255);
+    }
+    visit(m);
+  }
+  if (valid.size() < 4) return;
+  // Every u32 slot near the front (where all lengths and counts of the
+  // golden messages sit, frame prefix included) plus seeded ones further in.
+  std::vector<std::size_t> offsets;
+  for (std::size_t o = 0; o + 4 <= valid.size() && o < 144; ++o) {
+    offsets.push_back(o);
+  }
+  for (int i = 0; i < 16; ++i) {
+    offsets.push_back(rng.next_u64() % (valid.size() - 3));
+  }
+  for (const std::size_t o : offsets) {
+    std::uint32_t original = 0;
+    std::memcpy(&original, valid.data() + o, 4);
+    const auto rest = static_cast<std::uint32_t>(valid.size() - o - 4);
+    for (const std::uint32_t value :
+         {0xFFFFFFFFu, serve::kMaxFramePayload, rest + 1, rest / 8 + 1,
+          original + 1}) {
+      std::string m = valid;
+      std::memcpy(m.data() + o, &value, 4);
+      visit(m);
+    }
+  }
+}
+
+/// Visits every ordered pair of valid inputs concatenated and spliced at
+/// seeded cut points.
+template <class Visit>
+void for_each_splice(const std::vector<std::string>& valid, Rng& rng,
+                     Visit&& visit) {
+  for (const std::string& a : valid) {
+    for (const std::string& b : valid) {
+      visit(a + b);
+      for (int i = 0; i < 4; ++i) {
+        const std::size_t cut_a = rng.next_u64() % (a.size() + 1);
+        const std::size_t cut_b = rng.next_u64() % (b.size() + 1);
+        visit(a.substr(0, cut_a) + b.substr(cut_b));
+      }
+    }
+  }
+}
+
+TEST(ServeFraming, SeededMutantsDecodeExactlyOrThrow) {
+  std::vector<std::string> bodies;
+  std::vector<std::string> frames;
+  for (const GoldenMessage& m : golden_messages()) {
+    bodies.push_back(m.body);
+    frames.push_back(m.frame());
+  }
+  Rng rng(0x5EEDF00Dull);
+  std::size_t checked = 0;
+  std::string first_violation;
+  const auto check = [&](std::string_view input, auto violation) {
+    ++checked;
+    if (!first_violation.empty()) return;
+    const std::string bad = violation(input);
+    if (!bad.empty()) {
+      first_violation = bad + " (input #" + std::to_string(checked) + ", " +
+                        std::to_string(input.size()) + " bytes)";
+    }
+  };
+  const auto body = [&](std::string_view m) { check(m, decode_violation); };
+  const auto frame = [&](std::string_view m) { check(m, frame_violation); };
+  for (const std::string& valid : bodies) {
+    body(valid);
+    for_each_mutant(valid, rng, body);
+  }
+  for_each_splice(bodies, rng, body);
+  for (const std::string& valid : frames) {
+    frame(valid);
+    for_each_mutant(valid, rng, frame);
+  }
+  for_each_splice(frames, rng, frame);
+  EXPECT_EQ(first_violation, "");
+  EXPECT_GT(checked, 50000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -860,6 +1232,57 @@ TEST(ServeAdmission, StopWaitsForLiveComputes) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(live_threads(), threads_before);
+  obs::set_mode(obs::Mode::kOff);
+  obs::reset();
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  std::size_t resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ServeAdmission, LyingLengthPrefixPinsLittleMemory) {
+  // Four peers each announce a full-size payload, send 10 bytes of it and
+  // stall. The server must not reserve the announced 64 MiB per connection
+  // up front: the body grows only as bytes arrive.
+  obs::reset();
+  obs::set_mode(obs::Mode::kSummary);
+  serve::ModelRegistry registry;
+  serve::Server server(registry, serve::ServerConfig{});
+  const std::size_t before = resident_bytes();
+  std::string stalled = serve::encode_frame(MsgType::kPredict, 1, "x");
+  std::memcpy(stalled.data(), &serve::kMaxFramePayload, 4);
+  std::vector<int> fds;
+  for (int i = 0; i < 4; ++i) {
+    const int fd = connect_with_read_timeout(server.port());
+    if (fd < 0) break;
+    fds.push_back(fd);
+    if (write(fd, stalled.data(), stalled.size()) !=
+        static_cast<ssize_t>(stalled.size())) {
+      break;
+    }
+  }
+  EXPECT_EQ(fds.size(), 4u);
+  // Every connection is accepted; give their threads time to take the bytes.
+  auto& connections = obs::Registry::global().gauge("serve.connections");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (connections.value() < static_cast<double>(fds.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(connections.value(), static_cast<double>(fds.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after, before + (32u << 20))
+      << "resident memory grew by " << ((after - before) >> 20) << " MiB";
+
+  server.stop();  // returns although every peer is still mid-frame
+  for (const int fd : fds) close(fd);
   obs::set_mode(obs::Mode::kOff);
   obs::reset();
 }
