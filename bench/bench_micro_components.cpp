@@ -252,6 +252,44 @@ void BM_BuildProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildProfile);
 
+// Production-shape corpora (60 benchmarks x 1000 runs, seed 7), the ones the
+// UC2 amd->intel evaluation and the served transfer model train on.
+const measure::Corpus& production_amd() {
+  static const measure::Corpus corpus =
+      measure::build_corpus(measure::SystemModel::amd(), 1000, 7);
+  return corpus;
+}
+
+const measure::Corpus& production_intel() {
+  static const measure::Corpus corpus =
+      measure::build_corpus(measure::SystemModel::intel(), 1000, 7);
+  return corpus;
+}
+
+// One cross-system feature row's profile: 1000 runs x 75 amd metrics (an
+// odd count, so the kernel's scalar tail runs too).
+void BM_BuildFullProfile(benchmark::State& state) {
+  const auto& corpus = production_amd();
+  const auto& runs = corpus.benchmarks[0];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_full_profile(*corpus.system, runs));
+  }
+}
+BENCHMARK(BM_BuildFullProfile)->Unit(benchmark::kMicrosecond);
+
+// The fold-shared cache of one UC2 amd->intel PearsonRnd evaluation: 60 full
+// profiles plus encoded source and target distributions, on the global pool.
+void BM_CrossSystemEvalCacheBuild(benchmark::State& state) {
+  const auto& amd = production_amd();
+  const auto& intel = production_intel();
+  const core::CrossSystemConfig config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::CrossSystemEvalCache::build(amd, intel, config));
+  }
+}
+BENCHMARK(BM_CrossSystemEvalCacheBuild)->Unit(benchmark::kMillisecond);
+
 ml::Matrix random_matrix(std::size_t rows, std::size_t cols,
                          std::uint64_t seed) {
   ml::Matrix m(rows, cols);

@@ -8,9 +8,9 @@
 // entry, not per element.
 #pragma once
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace varpred {
 
@@ -22,21 +22,33 @@ class CheckError : public std::logic_error {
 
 namespace detail {
 
+// A failed check on hostile input (a malformed frame, say) is a hot path.
+// The message is appended into one reserved string, and nothing with a
+// destructor is alive at the throw: `msg` is a view (a literal costs no
+// std::string), and the built text is a temporary of the throw operand.
+// Every cleanup the unwinder must stop at costs about as much as the
+// throw itself.
+inline std::string check_what(std::string_view head, std::string_view expr,
+                              std::string_view msg) {
+  std::string what;
+  what.reserve(head.size() + expr.size() + msg.size() + 6);
+  what.append(head).append(expr).append(")");
+  if (!msg.empty()) what.append(" -- ").append(msg);
+  return what;
+}
+
 [[noreturn]] inline void check_failed(const char* file, int line,
                                       const char* expr,
-                                      const std::string& msg) {
-  std::ostringstream os;
-  os << file << ":" << line << ": check failed: (" << expr << ")";
-  if (!msg.empty()) os << " -- " << msg;
-  throw CheckError(os.str());
+                                      std::string_view msg) {
+  throw CheckError(check_what(std::string(file) + ":" +
+                                  std::to_string(line) + ": check failed: (",
+                              expr, msg));
 }
 
 [[noreturn]] inline void arg_check_failed(const char* expr,
-                                          const std::string& msg) {
-  std::ostringstream os;
-  os << "invalid argument: (" << expr << ")";
-  if (!msg.empty()) os << " -- " << msg;
-  throw std::invalid_argument(os.str());
+                                          std::string_view msg) {
+  throw std::invalid_argument(
+      check_what("invalid argument: (", expr, msg));
 }
 
 }  // namespace detail

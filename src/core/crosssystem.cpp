@@ -1,6 +1,7 @@
 #include "core/crosssystem.hpp"
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "core/evalcache.hpp"
 #include "ml/binned_columns.hpp"
 #include "obs/obs.hpp"
@@ -54,9 +55,19 @@ void CrossSystemPredictor::train(
     for (const std::size_t b : train_benchmarks) {
       VARPRED_CHECK_ARG(b < source.benchmarks.size(),
                         "benchmark index out of range");
-      x.push_row(make_features(*source.system, source.benchmarks[b]));
-      y.push_row(repr_->encode(target.benchmarks[b].relative_times()));
     }
+    // Rows build on the pool into one slot per training benchmark and are
+    // assembled in order, so x and y do not depend on the worker count.
+    const std::size_t n = train_benchmarks.size();
+    std::vector<std::vector<double>> rows(n);
+    std::vector<std::vector<double>> targets(n);
+    parallel_for(n, [&](std::size_t i) {
+      const std::size_t b = train_benchmarks[i];
+      rows[i] = make_features(*source.system, source.benchmarks[b]);
+      targets[i] = repr_->encode(target.benchmarks[b].relative_times());
+    });
+    x = ml::Matrix::from_rows(rows);
+    y = ml::Matrix::from_rows(targets);
   }
   model_ = config_.model_factory ? config_.model_factory()
                                  : make_model(config_.model, config_.seed);
@@ -82,9 +93,15 @@ std::vector<double> CrossSystemPredictor::predict_distribution(
     const measure::BenchmarkRuns& source_runs, std::size_t n_samples,
     Rng& rng) const {
   VARPRED_CHECK(source_system_ != nullptr, "predict before train");
+  return predict_distribution(make_features(*source_system_, source_runs),
+                              n_samples, rng);
+}
+
+std::vector<double> CrossSystemPredictor::predict_distribution(
+    std::span<const double> features, std::size_t n_samples,
+    Rng& rng) const {
   obs::Span span("xsys.predict");
   VARPRED_OBS_COUNT("xsys.predictions", 1);
-  const auto features = make_features(*source_system_, source_runs);
   const auto encoded = predict_encoded(features);
   return repr_->reconstruct(encoded, n_samples, rng);
 }

@@ -67,10 +67,18 @@ class CrossSystemPredictor {
       std::span<const double> features) const;
 
   /// End-to-end: predicts and reconstructs `n_samples` relative times on the
-  /// target system for an application measured as `source_runs`.
+  /// target system for an application measured as `source_runs`. Equals
+  /// the feature overload below applied to make_features(source_runs).
   std::vector<double> predict_distribution(
       const measure::BenchmarkRuns& source_runs, std::size_t n_samples,
       Rng& rng) const;
+
+  /// Predicts and reconstructs from a ready feature vector in
+  /// make_features' layout (e.g. a CrossSystemEvalCache row, so a held-out
+  /// benchmark is not profiled a second time).
+  std::vector<double> predict_distribution(std::span<const double> features,
+                                           std::size_t n_samples,
+                                           Rng& rng) const;
 
   /// Serializes the trained transfer model: this is the artifact a system
   /// vendor ships so customers can predict distributions on hardware they

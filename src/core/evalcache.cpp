@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::core {
@@ -29,10 +30,14 @@ FewRunsEvalCache FewRunsEvalCache::build(const measure::Corpus& corpus,
   const auto repr = DistributionRepr::create(config.repr);
   FewRunsEvalCache cache;
   cache.replicates = config.train_replicates;
-  cache.targets.reserve(corpus.benchmarks.size());
-  for (std::size_t b = 0; b < corpus.benchmarks.size(); ++b) {
+  const std::size_t n = corpus.benchmarks.size();
+  // Benchmarks build on the pool into pre-sized slots; rows are assembled in
+  // benchmark order, so the cache bytes do not depend on the worker count.
+  std::vector<std::vector<double>> rows(n * cache.replicates);
+  cache.targets.resize(n);
+  parallel_for(n, [&](std::size_t b) {
     const auto& runs = corpus.benchmarks[b];
-    cache.targets.push_back(repr->encode(runs.relative_times()));
+    cache.targets[b] = repr->encode(runs.relative_times());
     // Same per-benchmark stream as FewRunsPredictor::train's uncached loop:
     // seeded independently of the training subset, so every fold sees these
     // exact rows.
@@ -40,12 +45,13 @@ FewRunsEvalCache FewRunsEvalCache::build(const measure::Corpus& corpus,
                                           (b * 0x9E37ULL + 17)));
     const std::size_t probes =
         std::min(config.n_probe_runs, runs.run_count());
-    for (std::size_t rep = 0; rep < config.train_replicates; ++rep) {
+    for (std::size_t rep = 0; rep < cache.replicates; ++rep) {
       const auto idx = choose_run_indices(runs.run_count(), probes, rng);
-      cache.features.push_row(
-          build_profile(*corpus.system, runs, idx, config.profile));
+      rows[b * cache.replicates + rep] =
+          build_profile(*corpus.system, runs, idx, config.profile);
     }
-  }
+  });
+  cache.features = ml::Matrix::from_rows(rows);
   if (cache.features.rows() >= 2) {
     cache.presorted = std::make_shared<const ml::SortedColumns>(
         ml::SortedColumns::build(cache.features));
@@ -60,22 +66,19 @@ CrossSystemEvalCache CrossSystemEvalCache::build(
                     "corpora must cover the same benchmark set");
   obs::Span span("eval.cache.build");
   VARPRED_OBS_COUNT("eval.cache.builds", 1);
-  const auto repr = DistributionRepr::create(config.repr);
+  // Each row is CrossSystemPredictor::make_features of the benchmark, built
+  // on the pool into its own slot and assembled in benchmark order.
+  const CrossSystemPredictor rows_of(config);
+  const std::size_t n = source.benchmarks.size();
+  std::vector<std::vector<double>> rows(n);
   CrossSystemEvalCache cache;
-  cache.targets.reserve(source.benchmarks.size());
-  for (std::size_t b = 0; b < source.benchmarks.size(); ++b) {
-    // Same construction as CrossSystemPredictor::make_features: full source
-    // profile with the encoded source distribution appended.
-    auto features =
-        build_full_profile(*source.system, source.benchmarks[b],
-                           config.profile);
-    const auto encoded =
-        repr->encode(source.benchmarks[b].relative_times());
-    features.insert(features.end(), encoded.begin(), encoded.end());
-    cache.features.push_row(features);
-    cache.targets.push_back(
-        repr->encode(target.benchmarks[b].relative_times()));
-  }
+  cache.targets.resize(n);
+  parallel_for(n, [&](std::size_t b) {
+    rows[b] = rows_of.make_features(*source.system, source.benchmarks[b]);
+    cache.targets[b] =
+        rows_of.repr().encode(target.benchmarks[b].relative_times());
+  });
+  cache.features = ml::Matrix::from_rows(rows);
   if (cache.features.rows() >= 2) {
     cache.presorted = std::make_shared<const ml::SortedColumns>(
         ml::SortedColumns::build(cache.features));

@@ -14,6 +14,11 @@
 // The caches therefore precompute the full feature matrix and targets once,
 // and folds gather their rows — byte-identical to rebuilding them (proved by
 // the EvalCache.*MatchUncachedPath tests against VARPRED_EVAL_NO_CACHE=1).
+// Both builds run one benchmark per pool task into pre-sized slots and
+// assemble the rows in benchmark order, so the cache bytes do not depend on
+// the worker count. A cross-system row is also the held-out benchmark's
+// prediction input, so each source benchmark is profiled once per
+// evaluation.
 //
 // The caches also carry the dataset-level sorted-column artifact of the
 // feature matrix. Each fold derives its own orders by a linear filtered()

@@ -101,6 +101,12 @@ std::vector<double> predict_held_out_cross_system(
   predictor.train(source, target, all_but(source.benchmarks.size(), bench),
                   cache);
   Rng rng(seed_combine(options.seed, 0xC105500ULL + bench));
+  if (cache != nullptr) {
+    // The cache row is make_features of the held-out benchmark: predict
+    // from it rather than profiling the benchmark a second time.
+    return predictor.predict_distribution(cache->features.row(bench),
+                                          options.n_reconstruct, rng);
+  }
   return predictor.predict_distribution(source.benchmarks[bench],
                                         options.n_reconstruct, rng);
 }

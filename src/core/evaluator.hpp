@@ -89,7 +89,10 @@ std::vector<double> predict_held_out_few_runs(
     const FewRunsConfig& config, const EvalOptions& options = {},
     const FewRunsEvalCache* cache = nullptr);
 
-/// Predicts the held-out benchmark `bench` under use case #2.
+/// Predicts the held-out benchmark `bench` under use case #2. With a
+/// `cache` it trains from the cache and predicts from the cache's feature
+/// row of `bench` (the same bits as profiling it again); without one it
+/// profiles the benchmark's source runs.
 std::vector<double> predict_held_out_cross_system(
     const measure::Corpus& source, const measure::Corpus& target,
     std::size_t bench, const CrossSystemConfig& config,

@@ -50,14 +50,15 @@ namespace varpred::obs {
 /// system or "src->dst" transfer pair, `repr`/`model` the representation
 /// and predictor ("*" for marginals), `metric` the score name. `context`
 /// separates sweep points that would otherwise collapse into one cell
-/// (e.g. "probes=8" in the fig6 probe-count sweep); usually "".
+/// (e.g. "probes=8" in the fig6 probe-count sweep); usually "". A key
+/// handed to record_prediction_scores names only the first four fields.
 struct QualityCellKey {
   std::string app;
   std::string systems;
   std::string repr;
   std::string model;
-  std::string metric;
-  std::string context;
+  std::string metric{};
+  std::string context{};
 
   bool operator==(const QualityCellKey&) const = default;
 

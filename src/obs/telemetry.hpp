@@ -35,7 +35,7 @@ struct StageSamples {
   std::vector<double> samples;
   /// True when the document carried p50/p90/p99/p999 (schema v3+).
   bool has_quantiles = false;
-  StageQuantiles quantiles;
+  StageQuantiles quantiles{};
 };
 
 /// Parsed telemetry document (the fields bench_diff and the baseline store

@@ -174,7 +174,9 @@ TEST(BinnedColumnsTest, QuantileModeCapsBinsAndKeepsBoundariesOrdered) {
   }
   for (std::size_t b = 0; b < bins.bin_count(0); ++b) {
     EXPECT_GT(counts[b], 0u) << "empty bin " << b;
-    if (b > 0) EXPECT_GT(bins.value_min[b], bins.value_max[b - 1]);
+    if (b > 0) {
+      EXPECT_GT(bins.value_min[b], bins.value_max[b - 1]);
+    }
   }
 }
 

@@ -32,6 +32,40 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+// The what() text of both check kinds, byte for byte, with and without a
+// message: callers and logs match on it, so building it differently must
+// not change it.
+template <typename E, typename F>
+std::string what_of(F&& f) {
+  try {
+    f();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "(did not throw)";
+}
+
+TEST(Check, MessageTextIsPinned) {
+  const int x = 3;
+  EXPECT_EQ(what_of<std::invalid_argument>(
+                [&] { VARPRED_CHECK_ARG(x < 2, "x too large"); }),
+            "invalid argument: (x < 2) -- x too large");
+  EXPECT_EQ(what_of<std::invalid_argument>(
+                [&] { VARPRED_CHECK_ARG(x < 2, ""); }),
+            "invalid argument: (x < 2)");
+  int line = 0;
+  const std::string with_msg = what_of<CheckError>([&] {
+    line = __LINE__; VARPRED_CHECK(x == 2, std::string("x is ") + "three");
+  });
+  EXPECT_EQ(with_msg, std::string(__FILE__) + ":" + std::to_string(line) +
+                          ": check failed: (x == 2) -- x is three");
+  const std::string bare = what_of<CheckError>([&] {
+    line = __LINE__; VARPRED_CHECK(x == 2, "");
+  });
+  EXPECT_EQ(bare, std::string(__FILE__) + ":" + std::to_string(line) +
+                      ": check failed: (x == 2)");
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42);
   Rng b(42);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -13,6 +14,7 @@
 #include "core/evaluator.hpp"
 #include "core/predictor.hpp"
 #include "core/profile.hpp"
+#include "io/serialize.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
@@ -79,6 +81,61 @@ TEST(Profile, InvalidArguments) {
   EXPECT_THROW(
       build_profile(*corpus.system, runs, std::vector<std::size_t>{99999}),
       std::invalid_argument);
+}
+
+// FNV-1a-64 over the raw bytes of every profile feature built from `corpus`:
+// the full profile of each benchmark, or (k > 0) a profile over k seeded
+// run indices per benchmark. Any changed bit of any feature moves the hash.
+std::uint64_t profile_hash(const measure::Corpus& corpus, std::size_t k,
+                           const ProfileOptions& options = {}) {
+  std::vector<double> all;
+  for (std::size_t b = 0; b < corpus.benchmarks.size(); ++b) {
+    const auto& runs = corpus.benchmarks[b];
+    std::vector<double> features;
+    if (k == 0) {
+      features = build_full_profile(*corpus.system, runs, options);
+    } else {
+      Rng rng(seed_combine(2024, b * 31 + k));
+      const auto idx = choose_run_indices(runs.run_count(), k, rng);
+      features = build_profile(*corpus.system, runs, idx, options);
+    }
+    all.insert(all.end(), features.begin(), features.end());
+  }
+  return io::fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(all.data()), all.size() * sizeof(double)));
+}
+
+// Pins every profile bit. k = 1 takes the n < 2 branch of the moments and
+// k = 2 zeroes the n - 2 factor of the third-moment update; k = 10 is the
+// served probe shape and k = 0 (full profile) the cross-system row shape.
+// amd has 75 metrics, an odd count, so its cases cover the per-metric
+// kernel's scalar tail; intel has 68.
+TEST(Profile, GoldenHashes) {
+  struct Case {
+    const measure::Corpus* corpus;
+    std::size_t k;
+    bool higher_moments;
+    std::uint64_t expected;
+  };
+  const Case cases[] = {
+      {&small_intel(), 0, true, 0x4cda539d2982d635ULL},
+      {&small_amd(), 0, true, 0xf275a2d0ce2ec347ULL},
+      {&small_intel(), 1, true, 0x8b73f2942ba723ccULL},
+      {&small_intel(), 2, true, 0xb171d0c91b236128ULL},
+      {&small_intel(), 3, true, 0xd72c64d55cedce6dULL},
+      {&small_intel(), 10, true, 0x8a3b694ec5d2949cULL},
+      {&small_amd(), 10, true, 0x776b101134232176ULL},
+      {&small_amd(), 10, false, 0xda1aece812943f22ULL},
+  };
+  for (const Case& c : cases) {
+    ProfileOptions options;
+    options.include_higher_moments = c.higher_moments;
+    const std::uint64_t h = profile_hash(*c.corpus, c.k, options);
+    EXPECT_EQ(h, c.expected)
+        << c.corpus->system->name() << " k=" << c.k
+        << " higher_moments=" << c.higher_moments << " hash 0x" << std::hex
+        << h;
+  }
 }
 
 TEST(ChooseRunIndices, DistinctAndDeterministic) {
@@ -321,6 +378,94 @@ TEST(EvalCache, TreeModelScoresMatchUncachedPath) {
     ASSERT_EQ(cached.ks.size(), uncached.ks.size());
     for (std::size_t b = 0; b < cached.ks.size(); ++b) {
       EXPECT_EQ(cached.ks[b], uncached.ks[b]) << "fold " << b;
+    }
+  }
+}
+
+// Bitwise equality of two double sequences (EXPECT_EQ per element would
+// also pass -0.0 == 0.0; memcmp does not).
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The cache builds its rows on the pool; each must be exactly the row the
+// serial construction gives: make_features for the source, encode for the
+// target.
+TEST(EvalCache, CrossSystemRowsEqualMakeFeatures) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  for (const ReprKind repr :
+       {ReprKind::kHistogram, ReprKind::kMaxEnt, ReprKind::kPearson,
+        ReprKind::kQuantile}) {
+    CrossSystemConfig config;
+    config.repr = repr;
+    const auto cache = CrossSystemEvalCache::build(amd, intel, config);
+    const CrossSystemPredictor predictor(config);
+    ASSERT_EQ(cache.features.rows(), amd.benchmarks.size());
+    ASSERT_EQ(cache.targets.size(), amd.benchmarks.size());
+    for (std::size_t b = 0; b < amd.benchmarks.size(); ++b) {
+      EXPECT_TRUE(same_bits(
+          cache.features.row(b),
+          predictor.make_features(*amd.system, amd.benchmarks[b])))
+          << to_string(repr) << " row " << b;
+      EXPECT_TRUE(same_bits(
+          cache.targets[b],
+          predictor.repr().encode(intel.benchmarks[b].relative_times())))
+          << to_string(repr) << " target " << b;
+    }
+  }
+}
+
+// Few-runs analogue: the pool-built rows equal the serial replicate loop of
+// FewRunsPredictor::train (same per-benchmark RNG stream, same order).
+TEST(EvalCache, FewRunsRowsEqualSerialReplicateLoop) {
+  const auto& corpus = small_intel();
+  FewRunsConfig config;
+  config.repr = ReprKind::kHistogram;
+  const auto cache = FewRunsEvalCache::build(corpus, config);
+  const auto repr = DistributionRepr::create(config.repr);
+  ASSERT_EQ(cache.features.rows(),
+            corpus.benchmarks.size() * config.train_replicates);
+  for (std::size_t b = 0; b < corpus.benchmarks.size(); ++b) {
+    const auto& runs = corpus.benchmarks[b];
+    EXPECT_TRUE(
+        same_bits(cache.targets[b], repr->encode(runs.relative_times())))
+        << "target " << b;
+    Rng rng(seed_combine(config.seed, stable_hash(corpus.system->name()) ^
+                                          (b * 0x9E37ULL + 17)));
+    const std::size_t probes = std::min(config.n_probe_runs, runs.run_count());
+    for (std::size_t rep = 0; rep < config.train_replicates; ++rep) {
+      const auto idx = choose_run_indices(runs.run_count(), probes, rng);
+      EXPECT_TRUE(same_bits(
+          cache.features.row(b * config.train_replicates + rep),
+          build_profile(*corpus.system, runs, idx, config.profile)))
+          << "benchmark " << b << " replicate " << rep;
+    }
+  }
+}
+
+// With a cache the held-out benchmark is predicted from its cache row
+// instead of being profiled again; the draws must not change by one bit.
+TEST(EvalCache, HeldOutFromCacheMatchesFreshProfile) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  for (const ReprKind repr :
+       {ReprKind::kHistogram, ReprKind::kMaxEnt, ReprKind::kPearson,
+        ReprKind::kQuantile}) {
+    CrossSystemConfig config;
+    config.repr = repr;
+    EvalOptions options;
+    options.n_reconstruct = 300;
+    const auto cache = CrossSystemEvalCache::build(amd, intel, config);
+    for (const std::size_t b : {std::size_t{0}, std::size_t{17},
+                                amd.benchmarks.size() - 1}) {
+      const auto cached = predict_held_out_cross_system(
+          amd, intel, b, config, options, &cache);
+      const auto fresh =
+          predict_held_out_cross_system(amd, intel, b, config, options);
+      EXPECT_TRUE(same_bits(cached, fresh))
+          << to_string(repr) << " benchmark " << b;
     }
   }
 }

@@ -738,7 +738,9 @@ TEST(ObsProfiler, AttributesSamplesToLiveSpanStacks) {
            std::chrono::steady_clock::now() < deadline) {
       obs::Span inner("prof.inner");
       volatile std::uint64_t sink = 0;
-      for (int i = 0; i < 4000; ++i) sink += static_cast<std::uint64_t>(i);
+      for (int i = 0; i < 4000; ++i) {
+        sink = sink + static_cast<std::uint64_t>(i);
+      }
     }
   }
   const obs::ProfileReport report = obs::profiler_stop();
