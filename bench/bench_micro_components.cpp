@@ -328,6 +328,7 @@ const ProductionFold& production_fold() {
         measure::build_corpus(measure::SystemModel::intel(), 1000, 7);
     core::FewRunsConfig config;
     config.repr = core::ReprKind::kPearson;
+    config.model = core::ModelKind::kRandomForest;  // cache carries presorted
     const auto cache = core::FewRunsEvalCache::build(corpus, config);
     std::vector<std::size_t> train;
     for (std::size_t b = 1; b < corpus.benchmarks.size(); ++b) {

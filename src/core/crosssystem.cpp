@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "core/evalcache.hpp"
-#include "ml/binned_columns.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::core {
@@ -33,7 +32,6 @@ void CrossSystemPredictor::train(
   ml::Matrix x;
   ml::Matrix y;
   std::shared_ptr<const ml::SortedColumns> presorted;
-  std::shared_ptr<const ml::BinnedColumns> binned;
   if (cache != nullptr) {
     // Fold-shared artifacts (feature rows and targets are pure functions of
     // the corpora, so gathering is byte-identical to the loop below).
@@ -44,12 +42,6 @@ void CrossSystemPredictor::train(
     if (cache->presorted != nullptr) {
       presorted = std::make_shared<const ml::SortedColumns>(
           cache->presorted->filtered(train_benchmarks, /*remap=*/true));
-      if (ml::tree_binned_profitable(x.rows())) {
-        // Fold-level bin codes from the filtered orders (see
-        // FewRunsPredictor::train).
-        binned = std::make_shared<const ml::BinnedColumns>(
-            ml::BinnedColumns::build(x, *presorted));
-      }
     }
   } else {
     for (const std::size_t b : train_benchmarks) {
@@ -72,7 +64,6 @@ void CrossSystemPredictor::train(
   model_ = config_.model_factory ? config_.model_factory()
                                  : make_model(config_.model, config_.seed);
   if (presorted != nullptr) model_->set_presorted(std::move(presorted));
-  if (binned != nullptr) model_->set_binned(std::move(binned));
   model_->fit(x, y);
 }
 

@@ -7,6 +7,18 @@
 #include "obs/obs.hpp"
 
 namespace varpred::core {
+namespace {
+
+// Only the tree learners read presorted column orders (kNN and ridge ignore
+// them), so the caches build that artifact for them alone. A custom model
+// factory may build a tree learner, so it gets the orders too.
+template <typename Config>
+bool model_reads_presorted(const Config& config) {
+  return config.model_factory || config.model == ModelKind::kRandomForest ||
+         config.model == ModelKind::kXgBoost;
+}
+
+}  // namespace
 
 std::vector<std::size_t> FewRunsEvalCache::rows_for(
     std::span<const std::size_t> benchmarks) const {
@@ -52,7 +64,7 @@ FewRunsEvalCache FewRunsEvalCache::build(const measure::Corpus& corpus,
     }
   });
   cache.features = ml::Matrix::from_rows(rows);
-  if (cache.features.rows() >= 2) {
+  if (cache.features.rows() >= 2 && model_reads_presorted(config)) {
     cache.presorted = std::make_shared<const ml::SortedColumns>(
         ml::SortedColumns::build(cache.features));
   }
@@ -79,7 +91,7 @@ CrossSystemEvalCache CrossSystemEvalCache::build(
         rows_of.repr().encode(target.benchmarks[b].relative_times());
   });
   cache.features = ml::Matrix::from_rows(rows);
-  if (cache.features.rows() >= 2) {
+  if (cache.features.rows() >= 2 && model_reads_presorted(config)) {
     cache.presorted = std::make_shared<const ml::SortedColumns>(
         ml::SortedColumns::build(cache.features));
   }

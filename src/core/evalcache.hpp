@@ -20,11 +20,11 @@
 // prediction input, so each source benchmark is profiled once per
 // evaluation.
 //
-// The caches also carry the dataset-level sorted-column artifact of the
-// feature matrix. Each fold derives its own orders by a linear filtered()
-// pass, and — when the histogram-binned tree path is enabled — builds the
-// fold's BinnedColumns from those orders in O(cols * rows), skipping the
-// per-fit column sorts entirely (see ml/binned_columns.hpp).
+// For the tree models (RF, XGBoost, or a custom model factory) the caches
+// also carry the dataset-level sorted-column artifact of the feature
+// matrix; each fold derives its own orders by a linear filtered() pass
+// instead of sorting. kNN and ridge never read it, so their caches carry
+// none (`presorted` is null).
 #pragma once
 
 #include <memory>
@@ -47,6 +47,7 @@ struct FewRunsEvalCache {
   std::vector<std::vector<double>> targets; ///< encoded target per benchmark
   std::size_t replicates = 0;               ///< train_replicates at build time
   /// Sorted-column orders of `features` (dataset-level; folds filter it).
+  /// Null unless the config's model reads them (see file comment).
   std::shared_ptr<const ml::SortedColumns> presorted;
 
   /// Row indices of the given training benchmarks (ascending benchmark
@@ -66,7 +67,7 @@ struct FewRunsEvalCache {
 struct CrossSystemEvalCache {
   ml::Matrix features;
   std::vector<std::vector<double>> targets;
-  std::shared_ptr<const ml::SortedColumns> presorted;
+  std::shared_ptr<const ml::SortedColumns> presorted;  ///< as FewRunsEvalCache
 
   static CrossSystemEvalCache build(const measure::Corpus& source,
                                     const measure::Corpus& target,

@@ -20,10 +20,6 @@ void RandomForest::set_presorted(std::shared_ptr<const SortedColumns> cols) {
   presorted_hint_ = std::move(cols);
 }
 
-void RandomForest::set_binned(std::shared_ptr<const BinnedColumns> bins) {
-  binned_hint_ = std::move(bins);
-}
-
 void RandomForest::fit(const Matrix& x, const Matrix& y) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(x.rows() >= 1, "need at least one training row");
@@ -49,46 +45,14 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
   // fails validation below.
   const std::shared_ptr<const SortedColumns> hint = std::move(presorted_hint_);
   presorted_hint_.reset();
-  const std::shared_ptr<const BinnedColumns> binned_hint =
-      std::move(binned_hint_);
-  binned_hint_.reset();
 
-  // A supplied hint is validated whenever the all-features regime would
-  // consume it — the binned path must not silently launder a mismatched
-  // artifact the exact path would reject.
   const bool all_features = tp.max_features == 0 || tp.max_features >= x.cols();
-  if (all_features && x.rows() >= 2 && hint != nullptr) {
-    VARPRED_CHECK_ARG(hint->cols() == x.cols() &&
-                          hint->row_count() == x.rows(),
-                      "presorted artifact does not match training matrix");
-  }
-
-  // Histogram-binned mode (runtime-gated, size-dispatched): one
-  // dataset-level BinnedColumns artifact shared by every tree. It covers
-  // both the all-features and feature-subset regimes, so no per-tree
-  // filtered sorted artifacts are needed at all. Self-building applies the
-  // auto profitability threshold; a caller-supplied artifact is consumed
-  // at any size (the caller already paid for it) unless the oracle is
-  // pinned.
-  std::shared_ptr<const BinnedColumns> bins;
-  if (tree_binned_enabled() && x.rows() >= 2 && binned_hint != nullptr) {
-    VARPRED_CHECK_ARG(binned_hint->cols() == x.cols() &&
-                          binned_hint->row_count() == x.rows(),
-                      "binned artifact does not match training matrix");
-    bins = binned_hint;
-    VARPRED_OBS_COUNT("ml.forest.binned_reused", 1);
-  } else if (tree_binned_profitable(x.rows()) && x.rows() >= 2) {
-    if (all_features && hint != nullptr) {
-      bins = std::make_shared<const BinnedColumns>(
-          BinnedColumns::build(x, *hint));
-    } else {
-      bins = std::make_shared<const BinnedColumns>(BinnedColumns::build(x));
-    }
-  }
-
   std::shared_ptr<const SortedColumns> base;
-  if (bins == nullptr && all_features && x.rows() >= 2) {
+  if (all_features && x.rows() >= 2) {
     if (hint != nullptr) {
+      VARPRED_CHECK_ARG(hint->cols() == x.cols() &&
+                            hint->row_count() == x.rows(),
+                        "presorted artifact does not match training matrix");
       base = hint;
       VARPRED_OBS_COUNT("ml.forest.presort_reused", 1);
     } else {
@@ -113,7 +77,7 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
     } else {
       std::iota(rows.begin(), rows.end(), std::size_t{0});
     }
-    tree.fit_rows(x, y, rows, base.get(), bins.get());
+    tree.fit_rows(x, y, rows, base.get());
     trees_[t] = std::move(tree);
   });
 }

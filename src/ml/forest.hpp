@@ -23,7 +23,6 @@ class RandomForest final : public Regressor {
 
   void fit(const Matrix& x, const Matrix& y) override;
   void set_presorted(std::shared_ptr<const SortedColumns> cols) override;
-  void set_binned(std::shared_ptr<const BinnedColumns> bins) override;
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
   std::string name() const override { return "RF"; }
@@ -40,7 +39,6 @@ class RandomForest final : public Regressor {
   std::vector<RegressionTree> trees_;
   std::size_t n_outputs_ = 0;
   std::shared_ptr<const SortedColumns> presorted_hint_;  // next fit() only
-  std::shared_ptr<const BinnedColumns> binned_hint_;     // next fit() only
 };
 
 }  // namespace varpred::ml

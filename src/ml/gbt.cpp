@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "ml/histkernels.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::ml {
@@ -100,98 +99,6 @@ void GradientBoosting::set_presorted(
   presorted_hint_ = std::move(cols);
 }
 
-void GradientBoosting::set_binned(std::shared_ptr<const BinnedColumns> bins) {
-  binned_hint_ = std::move(bins);
-}
-
-std::size_t GradientBoosting::bs_acquire(BinnedScan& bs) {
-  if (!bs.free_list.empty()) {
-    const std::size_t id = bs.free_list.back();
-    bs.free_list.pop_back();
-    return id;
-  }
-  bs.pool.emplace_back(bs.bins->total_bins() * 3, 0.0);
-  return bs.pool.size() - 1;
-}
-
-void GradientBoosting::bs_release(BinnedScan& bs,
-                                  const std::vector<std::size_t>& work,
-                                  std::size_t begin, std::size_t end,
-                                  std::size_t hist) {
-  // Sparse re-zero (see RegressionTree::hist_release): revisit the node's
-  // rows instead of clearing all total_bins() slots.
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  double* cnt = h.data();
-  double* gsum = h.data() + t;
-  double* hsum = h.data() + 2 * t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work[i];
-    for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-      const std::size_t b = bs.bins->offset[f] + bs.bins->feature_codes(f)[r];
-      cnt[b] = 0.0;
-      gsum[b] = 0.0;
-      hsum[b] = 0.0;
-    }
-  }
-  bs.free_list.push_back(hist);
-}
-
-void GradientBoosting::bs_add_range(BinnedScan& bs,
-                                    std::span<const double> grad,
-                                    std::span<const double> hess,
-                                    const std::vector<std::size_t>& work,
-                                    std::size_t begin, std::size_t end,
-                                    std::size_t hist) {
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-    const std::uint32_t off = bs.bins->offset[f];
-    hist_add_rows_gh(bs.bins->feature_codes(f), work.data() + begin,
-                     end - begin, grad.data(), hess.data(), h.data() + off,
-                     h.data() + t + off, h.data() + 2 * t + off);
-  }
-}
-
-void GradientBoosting::bs_sub_range(BinnedScan& bs,
-                                    std::span<const double> grad,
-                                    std::span<const double> hess,
-                                    const std::vector<std::size_t>& work,
-                                    std::size_t begin, std::size_t end,
-                                    std::size_t hist) {
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-    const std::uint32_t off = bs.bins->offset[f];
-    hist_sub_rows_gh(bs.bins->feature_codes(f), work.data() + begin,
-                     end - begin, grad.data(), hess.data(), h.data() + off,
-                     h.data() + t + off, h.data() + 2 * t + off);
-  }
-}
-
-void GradientBoosting::bs_zero_drained(BinnedScan& bs,
-                                       const std::vector<std::size_t>& work,
-                                       std::size_t begin, std::size_t end,
-                                       std::size_t hist) {
-  // Fully-drained bins have an exactly-zero count but may keep floating-point
-  // residue in their g/h sums after the subtraction trick — hard-zero them.
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  double* cnt = h.data();
-  double* gsum = h.data() + t;
-  double* hsum = h.data() + 2 * t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work[i];
-    for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-      const std::size_t b = bs.bins->offset[f] + bs.bins->feature_codes(f)[r];
-      if (cnt[b] == 0.0) {
-        gsum[b] = 0.0;
-        hsum[b] = 0.0;
-      }
-    }
-  }
-}
-
 double GradientBoosting::BoostTree::predict_one(
     std::span<const double> row) const {
   std::int32_t idx = 0;
@@ -209,7 +116,7 @@ std::int32_t GradientBoosting::build_node(
     std::span<const double> hess, std::vector<std::size_t>& work,
     std::size_t begin, std::size_t end, std::size_t depth,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    ExactScan& exact, BinnedScan* bscan, std::size_t hist) const {
+    ExactScan& exact) const {
   NodeTally tally;
   const std::size_t n = end - begin;
   double g_total = 0.0;
@@ -220,7 +127,6 @@ std::int32_t GradientBoosting::build_node(
   }
 
   auto leaf = [&]() {
-    if (hist != kNoHist) bs_release(*bscan, work, begin, end, hist);
     Node node;
     node.feature = -1;
     node.weight = -g_total / (h_total + params_.lambda);
@@ -231,122 +137,49 @@ std::int32_t GradientBoosting::build_node(
   if (depth >= params_.max_depth || n < 2) return leaf();
 
   const double parent_score = g_total * g_total / (h_total + params_.lambda);
-  double best_gain = params_.gamma;
-  std::int32_t best_feature = -1;
-  double best_threshold = 0.0;
-
-  // Candidate evaluation over one feature's occupied bins — the binned
-  // counterpart of scan_column with the identical gain expression; with
-  // exact() binning the candidate set matches the sorted scan's.
-  auto scan_bins = [&](std::size_t f, const double* cnt, const double* gsum,
-                       const double* hsum, const double* vmin,
-                       const double* vmax, std::size_t n_bins) {
-    double g_left = 0.0;
-    double h_left = 0.0;
-    double prev_max = 0.0;
-    bool have_left = false;
-    for (std::size_t b = 0; b < n_bins; ++b) {
-      if (cnt[b] == 0.0) continue;
-      if (have_left) {
-        const double h_right = h_total - h_left;
-        if (h_left >= params_.min_child_weight &&
-            h_right >= params_.min_child_weight) {
-          const double g_right = g_total - g_left;
-          const double gain =
-              0.5 * (g_left * g_left / (h_left + params_.lambda) +
-                     g_right * g_right / (h_right + params_.lambda) -
-                     parent_score);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<std::int32_t>(f);
-            best_threshold = 0.5 * (prev_max + vmin[b]);
-          }
-        }
-      }
-      g_left += gsum[b];
-      h_left += hsum[b];
-      prev_max = vmax[b];
-      have_left = true;
-    }
-  };
-
-  if (bscan != nullptr && bscan->arena) {
-    const std::vector<double>& h = bscan->pool[hist];
-    const std::size_t t = bscan->bins->total_bins();
-    for (const std::size_t f : cols) {
-      const std::uint32_t off = bscan->bins->offset[f];
-      scan_bins(f, h.data() + off, h.data() + t + off, h.data() + 2 * t + off,
-                bscan->bins->value_min.data() + off,
-                bscan->bins->value_max.data() + off, bscan->bins->bin_count(f));
-    }
-  } else if (bscan != nullptr) {
-    // Column-subset mode: one single-feature scratch histogram per
-    // candidate, sparse-cleared by revisiting the node's rows.
-    double* cnt = bscan->scratch.data();
-    double* gsum = bscan->scratch.data() + BinnedColumns::kMaxBins;
-    double* hsum = bscan->scratch.data() + 2 * BinnedColumns::kMaxBins;
-    for (const std::size_t f : cols) {
-      const std::uint8_t* codes = bscan->bins->feature_codes(f);
-      hist_add_rows_gh(codes, work.data() + begin, n, grad.data(), hess.data(),
-                       cnt, gsum, hsum);
-      const std::uint32_t off = bscan->bins->offset[f];
-      scan_bins(f, cnt, gsum, hsum, bscan->bins->value_min.data() + off,
-                bscan->bins->value_max.data() + off,
-                bscan->bins->bin_count(f));
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t b = codes[work[i]];
-        cnt[b] = 0.0;
-        gsum[b] = 0.0;
-        hsum[b] = 0.0;
-      }
-    }
-  } else {
-    // Exact search: one kernel over each candidate feature's node entries
-    // in (value, row) order — the node's segment range, the fit-level order
-    // filtered to the node, or a per-node sort.
-    GainSearch search;
-    search.grad = grad.data();
-    search.hess = hess.data();
-    search.g_total = g_total;
-    search.h_total = h_total;
-    search.parent_score = parent_score;
-    search.lambda = params_.lambda;
-    search.min_child_weight = params_.min_child_weight;
-    search.best_gain = best_gain;
-    const bool segmented = exact.root != nullptr;
-    const bool filtered = !segmented && presorted != nullptr;
-    if (filtered) {
-      for (std::size_t i = begin; i < end; ++i) exact.in_node[work[i]] = 1;
-    }
-    const std::span<const std::size_t> node_rows(work.data() + begin, n);
-    for (const std::size_t f : cols) {
-      const std::uint32_t* rows;
-      const double* values;
-      if (segmented) {
-        rows = exact.segments.rows(f) + begin;
-        values = exact.segments.values(f) + begin;
-      } else {
-        if (filtered) {
-          exact.column.filter(x, f, presorted->order[f],
-                              exact.in_node.data());
-        } else {
-          exact.column.sort(x, f, node_rows);
-        }
-        rows = exact.column.rows();
-        values = exact.column.values();
-      }
-      if (values[0] == values[n - 1]) continue;  // constant in this node
-      ++tally.feature_scans;
-      tally.rows_scanned += n;
-      scan_column(search, f, rows, values, n);
-    }
-    if (filtered) {
-      for (std::size_t i = begin; i < end; ++i) exact.in_node[work[i]] = 0;
-    }
-    best_gain = search.best_gain;
-    best_feature = search.best_feature;
-    best_threshold = search.best_threshold;
+  // One kernel over each candidate feature's node entries in (value, row)
+  // order — the node's segment range, the fit-level order filtered to the
+  // node, or a per-node sort.
+  GainSearch search;
+  search.grad = grad.data();
+  search.hess = hess.data();
+  search.g_total = g_total;
+  search.h_total = h_total;
+  search.parent_score = parent_score;
+  search.lambda = params_.lambda;
+  search.min_child_weight = params_.min_child_weight;
+  search.best_gain = params_.gamma;
+  const bool segmented = exact.root != nullptr;
+  const bool filtered = !segmented && presorted != nullptr;
+  if (filtered) {
+    for (std::size_t i = begin; i < end; ++i) exact.in_node[work[i]] = 1;
   }
+  const std::span<const std::size_t> node_rows(work.data() + begin, n);
+  for (const std::size_t f : cols) {
+    const std::uint32_t* rows;
+    const double* values;
+    if (segmented) {
+      rows = exact.segments.rows(f) + begin;
+      values = exact.segments.values(f) + begin;
+    } else {
+      if (filtered) {
+        exact.column.filter(x, f, presorted->order[f], exact.in_node.data());
+      } else {
+        exact.column.sort(x, f, node_rows);
+      }
+      rows = exact.column.rows();
+      values = exact.column.values();
+    }
+    if (values[0] == values[n - 1]) continue;  // constant in this node
+    ++tally.feature_scans;
+    tally.rows_scanned += n;
+    scan_column(search, f, rows, values, n);
+  }
+  if (filtered) {
+    for (std::size_t i = begin; i < end; ++i) exact.in_node[work[i]] = 0;
+  }
+  const std::int32_t best_feature = search.best_feature;
+  const double best_threshold = search.best_threshold;
 
   if (best_feature < 0) return leaf();
 
@@ -371,38 +204,16 @@ std::int32_t GradientBoosting::build_node(
     exact.segments.partition(begin, end, exact.go_left.data());
   }
 
-  // Arena mode: derive the children's histograms with the subtraction trick
-  // (fill the smaller child fresh, subtract its rows from the parent to get
-  // the larger child). Children the next level turns into leaves anyway get
-  // kNoHist and skip all histogram work.
-  std::size_t left_hist = kNoHist;
-  std::size_t right_hist = kNoHist;
-  if (hist != kNoHist) {
-    if (depth + 1 >= params_.max_depth) {
-      bs_release(*bscan, work, begin, end, hist);
-    } else {
-      const bool left_smaller = (mid - begin) <= (end - mid);
-      const std::size_t sb = left_smaller ? begin : mid;
-      const std::size_t se = left_smaller ? mid : end;
-      const std::size_t child = bs_acquire(*bscan);
-      bs_add_range(*bscan, grad, hess, work, sb, se, child);
-      bs_sub_range(*bscan, grad, hess, work, sb, se, hist);
-      bs_zero_drained(*bscan, work, sb, se, hist);
-      left_hist = left_smaller ? child : hist;
-      right_hist = left_smaller ? hist : child;
-    }
-  }
-
   tree.nodes.emplace_back();
   const auto self = static_cast<std::int32_t>(tree.nodes.size() - 1);
   tree.nodes[self].feature = best_feature;
   tree.nodes[self].threshold = best_threshold;
   const std::int32_t left =
       build_node(tree, x, grad, hess, work, begin, mid, depth + 1, cols,
-                 presorted, exact, bscan, left_hist);
+                 presorted, exact);
   const std::int32_t right =
       build_node(tree, x, grad, hess, work, mid, end, depth + 1, cols,
-                 presorted, exact, bscan, right_hist);
+                 presorted, exact);
   tree.nodes[self].left = left;
   tree.nodes[self].right = right;
   return self;
@@ -412,18 +223,12 @@ GradientBoosting::BoostTree GradientBoosting::fit_tree(
     const Matrix& x, std::span<const double> grad,
     std::span<const double> hess, std::span<const std::size_t> rows,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    ExactScan& exact, BinnedScan* bscan) const {
+    ExactScan& exact) const {
   BoostTree tree;
   std::vector<std::size_t> work(rows.begin(), rows.end());
   if (exact.root != nullptr) exact.segments = *exact.root;
-  std::size_t root_hist = kNoHist;
-  if (bscan != nullptr && bscan->arena && params_.max_depth >= 1 &&
-      work.size() >= 2) {
-    root_hist = bs_acquire(*bscan);
-    bs_add_range(*bscan, grad, hess, work, 0, work.size(), root_hist);
-  }
   build_node(tree, x, grad, hess, work, 0, work.size(), 0, cols, presorted,
-             exact, bscan, root_hist);
+             exact);
   return tree;
 }
 
@@ -446,45 +251,14 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
   // fails validation below.
   const std::shared_ptr<const SortedColumns> hint = std::move(presorted_hint_);
   presorted_hint_.reset();
-  const std::shared_ptr<const BinnedColumns> binned_hint =
-      std::move(binned_hint_);
-  binned_hint_.reset();
 
-  // Histogram-binned mode (runtime-gated): one dataset-level BinnedColumns
-  // artifact serves every node of every round of every output ensemble,
-  // subsampled rows and columns included — the sorted orders (and their
-  // per-round segment copies) are not needed at all.
-  // A supplied hint is validated whenever the share-rows regime would
-  // consume it — the binned path must not silently launder a mismatched
-  // artifact the exact path would reject.
   const bool share_rows = params_.subsample >= 1.0;
-  if (share_rows && hint != nullptr) {
-    VARPRED_CHECK_ARG(hint->cols() == x.cols() &&
-                          hint->row_count() == x.rows(),
-                      "presorted artifact does not match training matrix");
-  }
-
-  // Size-dispatched self-build; a caller-supplied artifact is consumed at
-  // any size unless the oracle is pinned (see RandomForest::fit).
-  std::shared_ptr<const BinnedColumns> bins;
-  if (tree_binned_enabled() && n >= 2 && binned_hint != nullptr) {
-    VARPRED_CHECK_ARG(binned_hint->cols() == x.cols() &&
-                          binned_hint->row_count() == x.rows(),
-                      "binned artifact does not match training matrix");
-    bins = binned_hint;
-    VARPRED_OBS_COUNT("ml.gbt.binned_reused", 1);
-  } else if (tree_binned_profitable(n) && n >= 2) {
-    if (share_rows && hint != nullptr) {
-      bins = std::make_shared<const BinnedColumns>(
-          BinnedColumns::build(x, *hint));
-    } else {
-      bins = std::make_shared<const BinnedColumns>(BinnedColumns::build(x));
-    }
-  }
-
   std::shared_ptr<const SortedColumns> presorted;
-  if (share_rows && bins == nullptr) {
+  if (share_rows) {
     if (hint != nullptr) {
+      VARPRED_CHECK_ARG(hint->cols() == x.cols() &&
+                            hint->row_count() == x.rows(),
+                        "presorted artifact does not match training matrix");
       presorted = hint;
       VARPRED_OBS_COUNT("ml.gbt.presort_reused", 1);
     } else {
@@ -507,8 +281,7 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
   // instead of filtering the full dataset order at every node. The values
   // are gathered once per fit; each round copies this root state.
   ColumnSegments root_segments;
-  const bool segment_mode =
-      bins == nullptr && share_rows && n_cols == x.cols();
+  const bool segment_mode = share_rows && n_cols == x.cols();
   std::vector<std::size_t> all_rows(n);
   std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
   if (segment_mode) root_segments.assign(x, *presorted, all_rows);
@@ -535,19 +308,8 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
     if (segment_mode) {
       exact.root = &root_segments;
       exact.go_left.assign(n, 0);
-    } else if (share_rows && bins == nullptr) {
+    } else if (share_rows) {
       exact.in_node.assign(n, 0);
-    }
-
-    // Binned split-search state for this ensemble; the histogram pool
-    // persists across rounds (buffers return to the free list fully zero).
-    BinnedScan bscan;
-    if (bins != nullptr) {
-      bscan.bins = bins.get();
-      bscan.arena = n_cols == x.cols();
-      if (!bscan.arena) {
-        bscan.scratch.assign(3 * BinnedColumns::kMaxBins, 0.0);
-      }
     }
 
     for (std::size_t round = 0; round < params_.n_rounds; ++round) {
@@ -574,9 +336,7 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
         std::sort(rows.begin(), rows.end());
       }
 
-      BoostTree tree = fit_tree(x, grad, hess, rows, cols,
-                                share_rows ? presorted.get() : nullptr, exact,
-                                bins != nullptr ? &bscan : nullptr);
+      BoostTree tree = fit_tree(x, grad, hess, rows, cols, presorted.get(), exact);
       for (std::size_t r = 0; r < n; ++r) {
         pred[r] += params_.learning_rate * tree.predict_one(x.row(r));
       }

@@ -1,6 +1,7 @@
 // Abstract multi-output regressor interface. The prediction pipeline trains
-// one of three concrete models (kNN, random forest, gradient boosting) to map
-// application-profile feature vectors to encoded distribution vectors.
+// one of the paper's three models (kNN, random forest, gradient boosting), or
+// the ridge baseline, to map application-profile feature vectors to encoded
+// distribution vectors.
 #pragma once
 
 #include <iosfwd>
@@ -14,7 +15,6 @@
 namespace varpred::ml {
 
 struct SortedColumns;
-struct BinnedColumns;
 
 /// Multi-output regressor: fit(X, Y) then predict a Y-row for an X-row.
 class Regressor {
@@ -32,13 +32,6 @@ class Regressor {
   /// releases it so a later refit on a different matrix cannot consume a
   /// stale order.
   virtual void set_presorted(std::shared_ptr<const SortedColumns> /*cols*/) {}
-
-  /// Hands the model quantized bin codes of the X matrix that will be passed
-  /// to the next fit() call (see ml/binned_columns.hpp). Tree learners use
-  /// it for histogram-binned split search when the runtime gate
-  /// (tree_binned_enabled) is on; models that cannot use it ignore it.
-  /// Like set_presorted, the artifact applies to the next fit() only.
-  virtual void set_binned(std::shared_ptr<const BinnedColumns> /*bins*/) {}
 
   /// Predicts the target vector for one feature row.
   virtual std::vector<double> predict(std::span<const double> row) const = 0;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 
-#include "ml/histkernels.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::ml {
@@ -134,23 +133,16 @@ void RegressionTree::fit(const Matrix& x, const Matrix& y) {
   // A dataset-level artifact over x is exactly the all-rows sample order.
   const std::shared_ptr<const SortedColumns> hint = std::move(presorted_hint_);
   presorted_hint_.reset();
-  const std::shared_ptr<const BinnedColumns> bins = std::move(binned_hint_);
-  binned_hint_.reset();
-  fit_rows(x, y, all, hint.get(), bins.get());
+  fit_rows(x, y, all, hint.get());
 }
 
 void RegressionTree::set_presorted(std::shared_ptr<const SortedColumns> cols) {
   presorted_hint_ = std::move(cols);
 }
 
-void RegressionTree::set_binned(std::shared_ptr<const BinnedColumns> bins) {
-  binned_hint_ = std::move(bins);
-}
-
 void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
                               std::span<const std::size_t> indices,
-                              const SortedColumns* presorted,
-                              const BinnedColumns* binned) {
+                              const SortedColumns* presorted) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(!indices.empty(), "cannot fit on zero rows");
   nodes_.clear();
@@ -158,21 +150,11 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
   n_outputs_ = y.cols();
   work_.assign(indices.begin(), indices.end());
 
-  // Histogram-binned mode (runtime-gated): splits come from per-node bin
-  // histograms over the dataset-level artifact, and any presorted sample
-  // order is ignored — no per-split column maintenance at all.
-  bins_ = tree_binned_enabled() ? binned : nullptr;
-  if (bins_ != nullptr) {
-    VARPRED_CHECK_ARG(bins_->cols() == x.cols() &&
-                          bins_->row_count() == x.rows(),
-                      "binned artifact does not match training matrix");
-  }
-
   // Column-segment mode needs every split to consider every feature, else
   // the candidate subset would still have to be sorted per node anyway.
   const bool all_features =
       params_.max_features == 0 || params_.max_features >= x.cols();
-  use_columns_ = bins_ == nullptr && presorted != nullptr && all_features;
+  use_columns_ = presorted != nullptr && all_features;
   VARPRED_CHECK_ARG(x.rows() <= std::numeric_limits<std::uint32_t>::max(),
                     "too many rows for 32-bit row ids");
   if (use_columns_) {
@@ -181,112 +163,14 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
   }
   scan_left_.assign(n_outputs_, 0.0);
 
-  std::size_t root_hist = kNoHist;
-  if (bins_ != nullptr) {
-    hk_ = &hist_kernels();
-    ydata_ = y.data().data();
-    binned_arena_ = all_features;
-    if (binned_arena_) {
-      root_hist = hist_acquire();
-      hist_add_range(root_hist, 0, work_.size());
-    } else {
-      hist_scratch_.assign(BinnedColumns::kMaxBins * (1 + n_outputs_), 0.0);
-    }
-  }
-
   Rng rng(params_.seed);
-  build(x, y, 0, work_.size(), 0, rng, root_hist);
+  build(x, y, 0, work_.size(), 0, rng);
 
   segments_ = {};
   node_column_ = {};
   go_left_ = {};
   scan_left_ = {};
   use_columns_ = false;
-  bins_ = nullptr;
-  hk_ = nullptr;
-  ydata_ = nullptr;
-  binned_arena_ = false;
-  hist_pool_.clear();
-  hist_free_.clear();
-  hist_scratch_.clear();
-  hist_scratch_.shrink_to_fit();
-}
-
-std::size_t RegressionTree::hist_acquire() {
-  if (!hist_free_.empty()) {
-    const std::size_t id = hist_free_.back();
-    hist_free_.pop_back();
-    return id;
-  }
-  hist_pool_.emplace_back(bins_->total_bins() * (1 + n_outputs_), 0.0);
-  return hist_pool_.size() - 1;
-}
-
-void RegressionTree::hist_release(std::size_t hist, std::size_t begin,
-                                  std::size_t end) {
-  // Sparse re-zero: only the bins this node's rows occupy can be nonzero,
-  // so revisiting the rows restores the all-zero invariant in O(rows) and
-  // the buffer can be reused without a full O(total_bins) clear.
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  double* cnt = h.data();
-  double* sums = h.data() + t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work_[i];
-    for (std::size_t f = 0; f < bins_->cols(); ++f) {
-      const std::size_t b = bins_->offset[f] + bins_->feature_codes(f)[r];
-      cnt[b] = 0.0;
-      for (std::size_t c = 0; c < n_outputs_; ++c) {
-        sums[b * n_outputs_ + c] = 0.0;
-      }
-    }
-  }
-  hist_free_.push_back(hist);
-}
-
-void RegressionTree::hist_add_range(std::size_t hist, std::size_t begin,
-                                    std::size_t end) {
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  for (std::size_t f = 0; f < bins_->cols(); ++f) {
-    hk_->add_rows(bins_->feature_codes(f), work_.data() + begin, end - begin,
-                  ydata_, n_outputs_, h.data() + bins_->offset[f],
-                  h.data() + t + bins_->offset[f] * n_outputs_);
-  }
-}
-
-void RegressionTree::hist_sub_range(std::size_t hist, std::size_t begin,
-                                    std::size_t end) {
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  for (std::size_t f = 0; f < bins_->cols(); ++f) {
-    hk_->sub_rows(bins_->feature_codes(f), work_.data() + begin, end - begin,
-                  ydata_, n_outputs_, h.data() + bins_->offset[f],
-                  h.data() + t + bins_->offset[f] * n_outputs_);
-  }
-}
-
-void RegressionTree::hist_zero_drained(std::size_t hist, std::size_t begin,
-                                       std::size_t end) {
-  // After the subtraction trick, bins fully drained by the removed rows have
-  // an exactly-zero count (integer arithmetic) but may keep floating-point
-  // residue in their sums. Hard-zero them so the scan's count==0 skip and
-  // the sparse release invariant both stay sound.
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  double* cnt = h.data();
-  double* sums = h.data() + t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work_[i];
-    for (std::size_t f = 0; f < bins_->cols(); ++f) {
-      const std::size_t b = bins_->offset[f] + bins_->feature_codes(f)[r];
-      if (cnt[b] == 0.0) {
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          sums[b * n_outputs_ + c] = 0.0;
-        }
-      }
-    }
-  }
 }
 
 std::int32_t RegressionTree::make_leaf(const Matrix& y, std::size_t begin,
@@ -310,13 +194,11 @@ std::int32_t RegressionTree::make_leaf(const Matrix& y, std::size_t begin,
 
 std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
                                    std::size_t begin, std::size_t end,
-                                   std::size_t depth, Rng& rng,
-                                   std::size_t hist) {
+                                   std::size_t depth, Rng& rng) {
   NodeTally tally;
   const std::size_t n = end - begin;
   if (depth >= params_.max_depth || n < params_.min_samples_split ||
       n < 2 * params_.min_samples_leaf) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);
   }
 
@@ -350,132 +232,42 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
     parent_sse -= total_sum[c] * total_sum[c] / static_cast<double>(n);
   }
   if (parent_sse <= 1e-14) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);
   }
 
-  double best_sse = parent_sse - 1e-12;
-  std::int32_t best_feature = -1;
-  double best_threshold = 0.0;
-
-  std::vector<double> left_sum(n_outputs_);
-
-  // Shared candidate evaluation over one feature's occupied bins: the split
-  // scored between adjacent occupied bins p < b is the exact scan's
-  // candidate between adjacent distinct node values whenever binning is
-  // exact, with the identical SSE expression (total_sq is node-constant, so
-  // per-bin squared sums are never needed).
-  auto scan_bins = [&](std::size_t f, const double* cnt, const double* sums,
-                       const double* vmin, const double* vmax,
-                       std::size_t n_bins) {
-    std::fill(left_sum.begin(), left_sum.end(), 0.0);
-    std::size_t left_n = 0;
-    double prev_max = 0.0;
-    bool have_left = false;
-    for (std::size_t b = 0; b < n_bins; ++b) {
-      if (cnt[b] == 0.0) continue;
-      if (have_left) {
-        const std::size_t n_left = left_n;
-        const std::size_t n_right = n - left_n;
-        if (n_left >= params_.min_samples_leaf &&
-            n_right >= params_.min_samples_leaf) {
-          double sse = total_sq;
-          double left_penalty = 0.0;
-          double right_penalty = 0.0;
-          for (std::size_t c = 0; c < n_outputs_; ++c) {
-            left_penalty += left_sum[c] * left_sum[c];
-            const double rs = total_sum[c] - left_sum[c];
-            right_penalty += rs * rs;
-          }
-          sse -= left_penalty / static_cast<double>(n_left) +
-                 right_penalty / static_cast<double>(n_right);
-          if (sse < best_sse) {
-            best_sse = sse;
-            best_feature = static_cast<std::int32_t>(f);
-            best_threshold = 0.5 * (prev_max + vmin[b]);
-          }
-        }
-      }
-      left_n += static_cast<std::size_t>(cnt[b]);
-      for (std::size_t c = 0; c < n_outputs_; ++c) {
-        left_sum[c] += sums[b * n_outputs_ + c];
-      }
-      prev_max = vmax[b];
-      have_left = true;
+  // One kernel over each candidate feature's node entries in (value, row)
+  // order — the node's segment range, or a per-node sort.
+  NodeSearch search;
+  search.y = y.data().data();
+  search.k = n_outputs_;
+  search.total_sum = total_sum.data();
+  search.total_sq = total_sq;
+  search.n = n;
+  search.min_leaf = params_.min_samples_leaf;
+  search.best_sse = parent_sse - 1e-12;
+  const ScanFn scan = scan_kernel(n_outputs_);
+  const std::span<const std::size_t> node_rows(work_.data() + begin, n);
+  for (std::size_t fi = 0; fi < n_candidates; ++fi) {
+    const std::size_t f = features[fi];
+    const std::uint32_t* rows;
+    const double* values;
+    if (use_columns_) {
+      rows = segments_.rows(f) + begin;
+      values = segments_.values(f) + begin;
+    } else {
+      node_column_.sort(x, f, node_rows);
+      rows = node_column_.rows();
+      values = node_column_.values();
     }
-  };
-
-  if (bins_ != nullptr && binned_arena_) {
-    const std::vector<double>& h = hist_pool_[hist];
-    const double* cnt = h.data();
-    const double* sums = h.data() + bins_->total_bins();
-    for (std::size_t fi = 0; fi < n_candidates; ++fi) {
-      const std::size_t f = features[fi];
-      const std::uint32_t off = bins_->offset[f];
-      scan_bins(f, cnt + off, sums + off * n_outputs_,
-                bins_->value_min.data() + off, bins_->value_max.data() + off,
-                bins_->bin_count(f));
-    }
-  } else if (bins_ != nullptr) {
-    // Feature-subset mode: one single-feature scratch histogram per
-    // candidate, sparse-cleared by revisiting the node's rows.
-    double* cnt = hist_scratch_.data();
-    double* sums = hist_scratch_.data() + BinnedColumns::kMaxBins;
-    for (std::size_t fi = 0; fi < n_candidates; ++fi) {
-      const std::size_t f = features[fi];
-      const std::uint8_t* codes = bins_->feature_codes(f);
-      hk_->add_rows(codes, work_.data() + begin, n, ydata_, n_outputs_, cnt,
-                    sums);
-      const std::uint32_t off = bins_->offset[f];
-      scan_bins(f, cnt, sums, bins_->value_min.data() + off,
-                bins_->value_max.data() + off, bins_->bin_count(f));
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t b = codes[work_[i]];
-        cnt[b] = 0.0;
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          sums[b * n_outputs_ + c] = 0.0;
-        }
-      }
-    }
-  } else {
-    // Exact search: one kernel over each candidate feature's node entries
-    // in (value, row) order — the node's segment range, or a per-node sort.
-    NodeSearch search;
-    search.y = y.data().data();
-    search.k = n_outputs_;
-    search.total_sum = total_sum.data();
-    search.total_sq = total_sq;
-    search.n = n;
-    search.min_leaf = params_.min_samples_leaf;
-    search.best_sse = best_sse;
-    const ScanFn scan = scan_kernel(n_outputs_);
-    const std::span<const std::size_t> node_rows(work_.data() + begin, n);
-    for (std::size_t fi = 0; fi < n_candidates; ++fi) {
-      const std::size_t f = features[fi];
-      const std::uint32_t* rows;
-      const double* values;
-      if (use_columns_) {
-        rows = segments_.rows(f) + begin;
-        values = segments_.values(f) + begin;
-      } else {
-        node_column_.sort(x, f, node_rows);
-        rows = node_column_.rows();
-        values = node_column_.values();
-      }
-      if (values[0] == values[n - 1]) continue;  // constant in this node
-      ++tally.feature_scans;
-      tally.rows_scanned += n;
-      scan(search, f, rows, values, scan_left_.data());
-    }
-    best_sse = search.best_sse;
-    best_feature = search.best_feature;
-    best_threshold = search.best_threshold;
+    if (values[0] == values[n - 1]) continue;  // constant in this node
+    ++tally.feature_scans;
+    tally.rows_scanned += n;
+    scan(search, f, rows, values, scan_left_.data());
   }
+  const std::int32_t best_feature = search.best_feature;
+  const double best_threshold = search.best_threshold;
 
-  if (best_feature < 0) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
-    return make_leaf(y, begin, end, depth);
-  }
+  if (best_feature < 0) return make_leaf(y, begin, end, depth);
 
   // Partition work_[begin, end) around the chosen threshold.
   const auto f = static_cast<std::size_t>(best_feature);
@@ -486,7 +278,6 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   const auto mid =
       static_cast<std::size_t>(mid_it - work_.begin());
   if (mid == begin || mid == end) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);  // numeric degeneracy guard
   }
   tally.rows_partitioned = n;
@@ -505,38 +296,14 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
     segments_.partition(begin, end, go_left_.data());
   }
 
-  // Arena mode: derive the children's histograms with the subtraction trick.
-  // The smaller child gets a fresh (all-zero) buffer filled from its rows;
-  // subtracting those same rows from the parent's buffer turns it into the
-  // larger child's histogram — 2·m_small row visits instead of m_small +
-  // m_large. Children that cannot split (next level hits max_depth) get
-  // kNoHist and skip all histogram work.
-  std::size_t left_hist = kNoHist;
-  std::size_t right_hist = kNoHist;
-  if (hist != kNoHist) {
-    if (depth + 1 >= params_.max_depth) {
-      hist_release(hist, begin, end);
-    } else {
-      const bool left_smaller = (mid - begin) <= (end - mid);
-      const std::size_t sb = left_smaller ? begin : mid;
-      const std::size_t se = left_smaller ? mid : end;
-      const std::size_t child = hist_acquire();
-      hist_add_range(child, sb, se);
-      hist_sub_range(hist, sb, se);
-      hist_zero_drained(hist, sb, se);
-      left_hist = left_smaller ? child : hist;
-      right_hist = left_smaller ? hist : child;
-    }
-  }
-
   // Reserve this node's slot before building children.
   nodes_.emplace_back();
   const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
   nodes_[self].feature = best_feature;
   nodes_[self].threshold = best_threshold;
   nodes_[self].node_depth = static_cast<std::int32_t>(depth);
-  const std::int32_t left = build(x, y, begin, mid, depth + 1, rng, left_hist);
-  const std::int32_t right = build(x, y, mid, end, depth + 1, rng, right_hist);
+  const std::int32_t left = build(x, y, begin, mid, depth + 1, rng);
+  const std::int32_t right = build(x, y, mid, end, depth + 1, rng);
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;

@@ -1,22 +1,18 @@
 // Multi-output CART regression tree.
 //
 // Splits minimize the summed squared error across all output columns
-// (variance reduction). Used standalone, bagged in RandomForest, and as the
-// base learner (single-output) inside GradientBoosting.
+// (variance reduction) with the exact presorted split search of
+// ml/split_scan.hpp. Used standalone and bagged in RandomForest;
+// GradientBoosting grows its own second-order trees over the same
+// primitives.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/rng.hpp"
-#include "ml/binned_columns.hpp"
 #include "ml/regressor.hpp"
 #include "ml/sorted_columns.hpp"
 #include "ml/split_scan.hpp"
-
-namespace varpred::ml {
-struct HistKernels;
-}
 
 namespace varpred::ml {
 
@@ -37,7 +33,6 @@ class RegressionTree final : public Regressor {
 
   void fit(const Matrix& x, const Matrix& y) override;
   void set_presorted(std::shared_ptr<const SortedColumns> cols) override;
-  void set_binned(std::shared_ptr<const BinnedColumns> bins) override;
 
   /// Fits on a subset of rows (bootstrap support for forests). `presorted`,
   /// when given, must be the dataset-level artifact of x
@@ -48,19 +43,9 @@ class RegressionTree final : public Regressor {
   /// consumed only when every split considers all features (max_features
   /// covers the full column set) and yields byte-identical trees;
   /// otherwise it is ignored.
-  ///
-  /// `binned`, when given (and tree_binned_enabled()), must be the
-  /// dataset-level BinnedColumns artifact of `x` (dimension match is
-  /// checked; `indices` may be any subset/multiset of its rows). The fit
-  /// then finds splits over per-node bin histograms — `presorted` is
-  /// ignored, no per-split column maintenance — considering exactly the
-  /// exact scan's candidate thresholds whenever the binning is exact()
-  /// (see ml/binned_columns.hpp). With VARPRED_TREE_BINNED=0 the artifact
-  /// is ignored and the exact presorted oracle runs instead.
   void fit_rows(const Matrix& x, const Matrix& y,
                 std::span<const std::size_t> indices,
-                const SortedColumns* presorted = nullptr,
-                const BinnedColumns* binned = nullptr);
+                const SortedColumns* presorted = nullptr);
 
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
@@ -85,26 +70,11 @@ class RegressionTree final : public Regressor {
     std::int32_t node_depth = 0;
   };
 
-  static constexpr std::size_t kNoHist = static_cast<std::size_t>(-1);
-
-  // Recursive builder over an index range [begin, end) of work_. `hist` is
-  // the node's histogram buffer (index into hist_pool_) in binned
-  // all-features mode, kNoHist otherwise.
+  // Recursive builder over an index range [begin, end) of work_.
   std::int32_t build(const Matrix& x, const Matrix& y, std::size_t begin,
-                     std::size_t end, std::size_t depth, Rng& rng,
-                     std::size_t hist);
+                     std::size_t end, std::size_t depth, Rng& rng);
   std::int32_t make_leaf(const Matrix& y, std::size_t begin, std::size_t end,
                          std::size_t depth);
-
-  // Binned-mode histogram arena (see tree.cpp). Buffers hold
-  // [count: T][sums: T * n_outputs_] over all T = bins_->total_bins() bins;
-  // free buffers are always fully zero.
-  std::size_t hist_acquire();
-  void hist_release(std::size_t hist, std::size_t begin, std::size_t end);
-  void hist_add_range(std::size_t hist, std::size_t begin, std::size_t end);
-  void hist_sub_range(std::size_t hist, std::size_t begin, std::size_t end);
-  void hist_zero_drained(std::size_t hist, std::size_t begin,
-                         std::size_t end);
 
   TreeParams params_;
   std::size_t n_outputs_ = 0;
@@ -112,7 +82,7 @@ class RegressionTree final : public Regressor {
   std::vector<double> leaf_values_;   // leaf_count * n_outputs
   std::vector<std::size_t> work_;     // index scratch during fit
 
-  // Exact split-search state during fit (see ml/split_scan.hpp). In
+  // Split-search state during fit (see ml/split_scan.hpp). In
   // column-segment mode (a presorted artifact is supplied and every split
   // considers all features) segments_ holds node [begin, end)'s (row,
   // value) entries of every feature, partitioned in lockstep with work_ at
@@ -124,20 +94,6 @@ class RegressionTree final : public Regressor {
   std::vector<double> scan_left_;       // running sums, wide targets only
   bool use_columns_ = false;
   std::shared_ptr<const SortedColumns> presorted_hint_;  // next fit() only
-
-  // Histogram-binned fit state (only while fitting with a binned artifact):
-  // all-features mode keeps one histogram per live tree path in an arena and
-  // derives each sibling by subtracting the smaller child from the parent;
-  // feature-subset mode rebuilds a single-feature scratch histogram per
-  // candidate, sparse-cleared by revisiting the node's rows.
-  const BinnedColumns* bins_ = nullptr;
-  const HistKernels* hk_ = nullptr;
-  const double* ydata_ = nullptr;  // y's row-major storage during fit
-  bool binned_arena_ = false;
-  std::vector<std::vector<double>> hist_pool_;
-  std::vector<std::size_t> hist_free_;
-  std::vector<double> hist_scratch_;  // [count: 256][sums: 256 * n_outputs_]
-  std::shared_ptr<const BinnedColumns> binned_hint_;  // next fit() only
 };
 
 }  // namespace varpred::ml

@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
-#include "stats/welford_simd.hpp"
 
 namespace varpred::stats {
 namespace {
@@ -14,7 +13,52 @@ namespace {
 // existing golden outputs are untouched.
 constexpr std::size_t kParallelMomentsThreshold = 1u << 15;
 
+// Four independent Welford states ("lanes"), structure-of-arrays.
+struct Lanes {
+  double n[4] = {0.0, 0.0, 0.0, 0.0};
+  double mean[4] = {0.0, 0.0, 0.0, 0.0};
+  double m2[4] = {0.0, 0.0, 0.0, 0.0};
+  double m3[4] = {0.0, 0.0, 0.0, 0.0};
+  double m4[4] = {0.0, 0.0, 0.0, 0.0};
+};
+
+// One-lane update: the same expressions as MomentAccumulator::add.
+inline void lane_add(Lanes& lanes, std::size_t j, double x) {
+  const double n1 = lanes.n[j];
+  const double n = n1 + 1.0;
+  const double delta = x - lanes.mean[j];
+  const double delta_n = delta / n;
+  const double delta_n2 = delta_n * delta_n;
+  const double term1 = delta * delta_n * n1;
+  lanes.mean[j] += delta_n;
+  lanes.m4[j] += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) +
+                 6.0 * delta_n2 * lanes.m2[j] - 4.0 * delta_n * lanes.m3[j];
+  lanes.m3[j] += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * lanes.m2[j];
+  lanes.m2[j] += term1;
+  lanes.n[j] = n;
+}
+
 }  // namespace
+
+MomentAccumulator accumulate_moments(std::span<const double> sample) {
+  Lanes lanes;
+  const std::size_t n_blocks = sample.size() / 4;
+  for (std::size_t k = 0; k < n_blocks; ++k) {
+    for (std::size_t j = 0; j < 4; ++j) lane_add(lanes, j, sample[k * 4 + j]);
+  }
+  // Tail elements (fewer than one block) go to lanes 0..tail-1; then the
+  // lanes merge in fixed order through the exact pairwise formulas.
+  for (std::size_t j = 0; j < sample.size() % 4; ++j) {
+    lane_add(lanes, j, sample[n_blocks * 4 + j]);
+  }
+  MomentAccumulator acc;
+  for (std::size_t j = 0; j < 4; ++j) {
+    acc.merge(MomentAccumulator::from_raw(static_cast<std::size_t>(lanes.n[j]),
+                                          lanes.mean[j], lanes.m2[j],
+                                          lanes.m3[j], lanes.m4[j]));
+  }
+  return acc;
+}
 
 Moments Moments::from_vector(std::span<const double> v) {
   VARPRED_CHECK_ARG(v.size() >= 4, "moment vector needs 4 entries");
@@ -114,9 +158,8 @@ Moments compute_moments_parallel(std::span<const double> sample) {
   const MomentAccumulator acc = ThreadPool::global().parallel_reduce(
       sample.size(), MomentAccumulator{},
       [&](std::size_t begin, std::size_t end) {
-        // Lane-parallel Welford per chunk (bit-identical across the scalar
-        // and AVX2 variants; see stats/welford_simd.hpp). Chunk boundaries
-        // still depend only on n, so the result stays worker-independent.
+        // 4-lane Welford per chunk. Chunk boundaries depend only on n, so
+        // the result stays worker-independent.
         return accumulate_moments(sample.subspan(begin, end - begin));
       },
       [](MomentAccumulator a, const MomentAccumulator& b) {

@@ -48,9 +48,9 @@ class MomentAccumulator {
   void merge(const MomentAccumulator& other);
 
   /// Rebuilds an accumulator from its raw state (count, mean, and the 2nd-4th
-  /// central moment sums). Used by the lane-parallel Welford kernel
-  /// (stats/welford_simd.hpp) to merge independently-accumulated lanes
-  /// through the exact pairwise-merge formulas above.
+  /// central moment sums). Used by accumulate_moments to merge
+  /// independently-accumulated lanes through the exact pairwise-merge
+  /// formulas above.
   static MomentAccumulator from_raw(std::size_t n, double mean, double m2,
                                     double m3, double m4);
 
@@ -64,6 +64,13 @@ class MomentAccumulator {
   double m3_ = 0.0;
   double m4_ = 0.0;
 };
+
+/// 4-lane Welford accumulation: four independent accumulators each take
+/// every fourth element, then merge in fixed order. The lane split reorders
+/// the summation, so the result is not bitwise-equal to MomentAccumulator::add
+/// over the same span, but it is the same on every machine and worker count.
+/// compute_moments_parallel runs it per chunk.
+MomentAccumulator accumulate_moments(std::span<const double> sample);
 
 /// Mean of a sample (0 for empty).
 double mean(std::span<const double> sample);
